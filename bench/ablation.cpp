@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     TextTable table({"rounds", "median ms (skip)", "median ms (no skip)"});
     for (int r : {0, 1, 2, 3, 4, 8}) {
       AfforestOptions with_skip;
-      with_skip.neighbor_rounds = r;
+      with_skip.sampling = NeighborRounds{r};
       AfforestOptions no_skip = with_skip;
       no_skip.skip_largest = false;
       const auto t1 =
@@ -129,8 +129,10 @@ int main(int argc, char** argv) {
              {{"scale", scale}, {"trials", trials},
               {"sampling", "neighbor-rounds"}}, t_nbr);
     for (double p : {0.05, 0.1, 0.25}) {
-      const auto t = bench::time_trials(
-          [&] { afforest_uniform_sampling(g, p); }, trials);
+      AfforestOptions uniform;
+      uniform.sampling = UniformEdges{p};
+      const auto t =
+          bench::time_trials([&] { afforest_cc(g, uniform); }, trials);
       table.add_row({"uniform p=" + TextTable::fmt(p, 2),
                      TextTable::fmt(t.median_s * 1e3, 2)});
       json.add(graph_name, "afforest-uniform",

@@ -1,12 +1,12 @@
 // Load-balancing ablation (the CPU rendition of §VI-B's representation
-// discussion): vertex-scheduled Afforest vs chunk-scheduled
-// afforest_balanced vs edge-list SV, on skewed (kron, twitter) and uniform
-// (road, urand) degree distributions, sweeping the chunk size.
+// discussion): Afforest's final phase on the PerVertex vs Chunked schedule
+// vs edge-list SV, on skewed (kron, twitter) and uniform (road, urand)
+// degree distributions, sweeping the chunk size.
 #include <iostream>
 
 #include "bench/harness.hpp"
+#include "cc/afforest.hpp"
 #include "cc/registry.hpp"
-#include "exec/chunked.hpp"
 #include "graph/generators/suite.hpp"
 #include "util/table.hpp"
 
@@ -37,11 +37,13 @@ int main(int argc, char** argv) {
                 {"scheduler", "vertex-parallel"}}, t);
     }
     for (std::int64_t chunk : {16, 64, 256, 1024}) {
-      const auto t = bench::time_trials(
-          [&] { afforest_balanced(g, {}, chunk); }, trials);
+      AfforestOptions opts;
+      opts.schedule = Chunked{chunk};
+      const auto t =
+          bench::time_trials([&] { afforest_cc(g, opts); }, trials);
       table.add_row({"chunked (" + std::to_string(chunk) + ")",
                      TextTable::fmt(t.median_s * 1e3, 2)});
-      json.add(name, "afforest-balanced",
+      json.add(name, "afforest-chunked",
                {{"scale", scale}, {"trials", trials},
                 {"scheduler", "chunked"}, {"chunk", chunk}}, t);
     }

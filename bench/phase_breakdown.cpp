@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench/harness.hpp"
-#include "cc/afforest_timed.hpp"
+#include "cc/afforest.hpp"
 #include "graph/generators/suite.hpp"
 #include "util/table.hpp"
 
@@ -29,8 +29,10 @@ int main(int argc, char** argv) {
     AfforestPhaseTimes best;
     double best_total = 1e30;
     for (int t = 0; t < trials; ++t) {
+      // Unarmed: armed counters inflate link/compress and would skew the
+      // phase shares this table reports.
       AfforestPhaseTimes times;
-      afforest_timed(g, times);
+      afforest_cc(g, {}, &times);
       if (times.total_s() < best_total) {
         best_total = times.total_s();
         best = times;
@@ -48,15 +50,12 @@ int main(int argc, char** argv) {
       // params holds only true inputs (bench_compare.py keys records on
       // (graph, algorithm, params), so measured values here would make
       // every record unmatchable between runs).  Per-phase wall times
-      // travel in the telemetry `phases` array instead — afforest_timed
-      // records each phase via telemetry::record_phase.
-      json.add(entry.name, "afforest-timed",
+      // travel in the telemetry `phases` array instead — afforest_cc
+      // records each phase under its afforest.* name when armed.
+      json.add(entry.name, "afforest",
                {{"scale", scale}, {"trials", trials}},
                TrialSummary{},
-               bench::measure_counters([&] {
-                 AfforestPhaseTimes times;
-                 afforest_timed(g, times);
-               }));
+               bench::measure_counters([&] { afforest_cc(g); }));
     }
   }
   if (csv)

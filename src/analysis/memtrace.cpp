@@ -6,6 +6,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <unordered_map>
+#include <variant>
 
 #include "util/rng.hpp"
 
@@ -175,8 +176,10 @@ TraceResult run_traced_afforest(const Graph& g, AfforestOptions opts) {
   TracedPi pi(g.num_nodes(), result.trace);
   traced_init(pi, result.trace);
   const std::int64_t n = g.num_nodes();
+  const std::int32_t rounds =
+      std::max(std::int32_t{0}, std::get<NeighborRounds>(opts.sampling).k);
 
-  for (std::int32_t r = 0; r < opts.neighbor_rounds; ++r) {
+  for (std::int32_t r = 0; r < rounds; ++r) {
     result.trace.begin_phase("L" + std::to_string(r + 1));
     for (std::int64_t v = 0; v < n; ++v)
       if (r < g.out_degree(static_cast<NodeID>(v)))
@@ -210,7 +213,7 @@ TraceResult run_traced_afforest(const Graph& g, AfforestOptions opts) {
   for (std::int64_t v = 0; v < n; ++v) {
     if (opts.skip_largest && pi.load(v) == c) continue;
     const std::int64_t deg = g.out_degree(static_cast<NodeID>(v));
-    for (std::int64_t k = opts.neighbor_rounds; k < deg; ++k)
+    for (std::int64_t k = rounds; k < deg; ++k)
       traced_link(static_cast<NodeID>(v),
                   g.neighbor(static_cast<NodeID>(v), k), pi);
   }

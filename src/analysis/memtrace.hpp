@@ -101,7 +101,8 @@ TraceResult run_traced_sv(const Graph& g);
 
 /// Afforest through the tracer.  Phases: I, per round L<i> / C<i>, then F
 /// (find largest component, if skipping), L* (final link), C* (final
-/// compress).
+/// compress).  Mirrors NeighborRounds sampling and the PerVertex schedule
+/// only; UniformEdges sampling throws std::bad_variant_access.
 TraceResult run_traced_afforest(const Graph& g, AfforestOptions opts = {});
 
 }  // namespace afforest

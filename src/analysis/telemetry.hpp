@@ -208,10 +208,13 @@ inline void on_compress(std::uint64_t hops) {
   detail::add(b.compress_hops, hops);
 }
 
-inline void on_phase3_skip(std::uint64_t edges_skipped) {
+/// The chunked final phase skips per span and passes vertices_skipped = 1
+/// only for a vertex's first span.
+inline void on_phase3_skip(std::uint64_t edges_skipped,
+                           std::uint64_t vertices_skipped = 1) {
   if (!enabled()) return;
   detail::ThreadCounters& b = detail::local();
-  b.phase3_vertices_skipped.fetch_add(1, detail::kRelaxed);
+  detail::add(b.phase3_vertices_skipped, vertices_skipped);
   detail::add(b.phase3_edges_skipped, edges_skipped);
 }
 
@@ -451,24 +454,28 @@ inline std::vector<PhaseSample> phases() {
   return t.rows;
 }
 
-/// RAII phase stopwatch; no-op when telemetry is dormant.
+/// RAII phase stopwatch.  Records the scope under `name` when telemetry is
+/// armed, and adds its seconds to `*sink` when a sink is given (phase times
+/// from an unarmed run, e.g. afforest_cc's AfforestPhaseTimes).  Reads no
+/// clock when neither wants it.
 class ScopedPhase {
  public:
-  explicit ScopedPhase(std::string_view name)
-      : active_(enabled()), name_(name) {
-    if (active_) timer_.start();
+  explicit ScopedPhase(std::string_view name, double* sink = nullptr)
+      : active_(enabled()), sink_(sink), name_(name) {
+    if (active_ || sink_ != nullptr) timer_.start();
   }
   ~ScopedPhase() {
-    if (active_) {
-      timer_.stop();
-      record_phase(name_, timer_.seconds());
-    }
+    if (!active_ && sink_ == nullptr) return;
+    timer_.stop();
+    if (active_) record_phase(name_, timer_.seconds());
+    if (sink_ != nullptr) *sink_ += timer_.seconds();
   }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
   bool active_;
+  double* sink_;
   std::string_view name_;
   Timer timer_;
 };

@@ -4,12 +4,16 @@
 // bulk of edge traffic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
+#include <variant>
 
+#include "analysis/telemetry.hpp"
 #include "cc/afforest.hpp"
 #include "cc/common.hpp"
 #include "graph/csr_graph.hpp"
-#include "util/parallel.hpp"
 
 namespace afforest {
 
@@ -30,61 +34,37 @@ struct AfforestWorkStats {
   }
 };
 
-/// Runs Afforest while counting per-phase edge work.  Semantically
-/// identical to afforest_cc (the labels are returned via out_labels).
+/// Runs afforest_cc with telemetry armed and reset (as
+/// bench::measure_counters does) and reads the counts off its Report:
+/// neighbor rounds link Σ min(deg, k) edges, the final phase the rest of
+/// link_calls.  NeighborRounds sampling only; builds with telemetry
+/// compiled out report only sampled_edges.
 template <typename NodeID_>
 AfforestWorkStats afforest_with_work_stats(
-    const CSRGraph<NodeID_>& g, AfforestOptions opts = {},
+    const CSRGraph<NodeID_>& g, const AfforestOptions& opts = {},
     ComponentLabels<NodeID_>* out_labels = nullptr) {
-  using OffsetT = typename CSRGraph<NodeID_>::OffsetT;
-  const std::int64_t n = g.num_nodes();
-  auto comp = identity_labels<NodeID_>(n);
+  const auto* rounds = std::get_if<NeighborRounds>(&opts.sampling);
+  if (rounds == nullptr)
+    throw std::invalid_argument(
+        "afforest_with_work_stats: needs NeighborRounds sampling");
+  const telemetry::ScopedEnable armed;
+  ComponentLabels<NodeID_> labels = afforest_cc(g, opts);
+  const telemetry::Report report = telemetry::capture();
   AfforestWorkStats stats;
-
-  const std::int32_t rounds = std::max(std::int32_t{0}, opts.neighbor_rounds);
-  for (std::int32_t r = 0; r < rounds; ++r) {
-    std::int64_t linked = 0;
-#pragma omp parallel for reduction(+ : linked) schedule(dynamic, 16384)
-    for (std::int64_t v = 0; v < n; ++v) {
-      if (r < g.out_degree(static_cast<NodeID_>(v))) {
-        link(static_cast<NodeID_>(v), g.neighbor(static_cast<NodeID_>(v), r),
-             comp);
-        ++linked;
-      }
-    }
-    stats.sampled_edges += linked;
-    compress_all(comp);
+  const std::int64_t k = std::max(std::int32_t{0}, rounds->k);
+  for (std::int64_t v = 0; v < g.num_nodes(); ++v)
+    stats.sampled_edges +=
+        std::min<std::int64_t>(k, g.out_degree(static_cast<NodeID_>(v)));
+  if (telemetry::compiled_in()) {
+    stats.final_edges =
+        static_cast<std::int64_t>(report.counters.link_calls) -
+        stats.sampled_edges;
+    stats.skipped_edges =
+        static_cast<std::int64_t>(report.counters.phase3_edges_skipped);
+    stats.skipped_vertices =
+        static_cast<std::int64_t>(report.counters.phase3_vertices_skipped);
   }
-
-  NodeID_ c = 0;
-  if (opts.skip_largest && n > 0)
-    c = sample_frequent_element(comp, opts.sample_count, opts.sample_seed);
-
-  std::int64_t final_linked = 0, skipped_e = 0, skipped_v = 0;
-#pragma omp parallel for reduction(+ : final_linked, skipped_e, skipped_v) \
-    schedule(dynamic, 1024)
-  for (std::int64_t v = 0; v < n; ++v) {
-    const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
-    const OffsetT remaining = std::max<OffsetT>(0, deg - rounds);
-    // should_skip reads the label atomically — the plain read this
-    // replaces raced the concurrent link CAS (the PR 1 bug class, still
-    // present here until afforest-lint flagged it).
-    if (should_skip(static_cast<NodeID_>(v), comp, opts, c)) {
-      skipped_e += remaining;
-      ++skipped_v;
-      continue;
-    }
-    for (OffsetT k = rounds; k < deg; ++k)
-      link(static_cast<NodeID_>(v), g.neighbor(static_cast<NodeID_>(v), k),
-           comp);
-    final_linked += remaining;
-  }
-  stats.final_edges = final_linked;
-  stats.skipped_edges = skipped_e;
-  stats.skipped_vertices = skipped_v;
-
-  compress_all(comp);
-  if (out_labels != nullptr) *out_labels = std::move(comp);
+  if (out_labels != nullptr) *out_labels = std::move(labels);
   return stats;
 }
 

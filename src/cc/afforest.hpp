@@ -14,23 +14,26 @@
 //                           intermediate component (Fig 5, line 10):
 //                           samples comp[] uniformly and returns the mode.
 //
-// The driver (Fig 5):
-//   1. `neighbor_rounds` sampling rounds: round r links edge
-//      (v, r-th neighbor of v) for every vertex, then compresses.  This
-//      processes O(|V|) edges per round and, per §V-B, links >80 % of trees
-//      within two rounds on real-world topologies.
+// The driver (Fig 5), afforest_cc — the only copy of the phase sequence;
+// the ablations are AfforestOptions choices:
+//   1. k sampling rounds: round r links edge (v, r-th neighbor of v) for
+//      every vertex, then compresses.  This processes O(|V|) edges per
+//      round and, per §V-B, links >80 % of trees within two rounds on
+//      real-world topologies.  (Or one uniform-edge pass, §IV-B.)
 //   2. Identify the largest intermediate component c.
 //   3. Final phase: every vertex NOT in c links its remaining neighbors
-//      (from index neighbor_rounds onward).  Vertices inside c are skipped
-//      entirely — correct by Theorem 3 because each unordered edge is
-//      stored in both endpoint rows.
+//      (from index k onward), per vertex or per Chunked span.  Vertices
+//      inside c are skipped entirely — correct by Theorem 3 because each
+//      unordered edge is stored in both endpoint rows.
 //   4. Final compress.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <unordered_map>
+#include <variant>
 
 #include "analysis/telemetry.hpp"
 #include "cc/common.hpp"
@@ -40,26 +43,63 @@
 
 namespace afforest {
 
-/// Tuning knobs for Afforest.  Defaults follow the paper (§VI-A:
-/// neighbor_rounds = 2; "constant number" of samples = 1024).
+/// Sampling choices (Fig 5 lines 2–9): the first k neighbors of every
+/// vertex, one round each (k < 0 acts as 0), or each edge with probability
+/// p, decided by a hash of the edge and sample_seed (§IV-B; p saturates to
+/// [0, 1]).
+struct NeighborRounds {
+  std::int32_t k = 2;
+};
+struct UniformEdges {
+  double p = 0.1;
+};
+
+/// Final-phase schedules: one vertex at a time, or spans of at most `size`
+/// edges of one neighborhood (§VI-B load balancing; afforest_cc throws
+/// std::invalid_argument for size <= 0).
+struct PerVertex {};
+struct Chunked {
+  std::int64_t size = 64;
+};
+
+/// Tuning knobs for Afforest.  Defaults follow the paper (§VI-A: two
+/// neighbor rounds; "constant number" of samples = 1024).
 struct AfforestOptions {
-  std::int32_t neighbor_rounds = 2;
+  std::variant<NeighborRounds, UniformEdges> sampling = NeighborRounds{};
+  std::variant<PerVertex, Chunked> schedule = PerVertex{};
   bool skip_largest = true;  ///< large-component skipping (paper §IV-D)
   std::int32_t sample_count = 1024;
   std::uint64_t sample_seed = 0xAFF0;
 };
 
+/// Wall seconds per phase of one afforest_cc solve, read from the clock
+/// behind its afforest.* telemetry phases but filled without arming them.
+struct AfforestPhaseTimes {
+  double init_s = 0;
+  double sampling_s = 0;
+  double compress_s = 0;        ///< all compress passes
+  double find_component_s = 0;  ///< sample_frequent_element
+  double final_link_s = 0;
+
+  [[nodiscard]] double total_s() const {
+    return init_s + sampling_s + compress_s + find_component_s +
+           final_link_s;
+  }
+};
+
 /// Hooks the trees containing u and v (paper Fig 3).  Lock-free; safe to
-/// call concurrently on arbitrary edges.
+/// call concurrently on arbitrary edges.  Returns true iff this call's own
+/// CAS merged two trees (the §IV-A witness, see afforest_forest.hpp).
 // lint: parallel-context
 template <typename NodeID_>
-void link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
+bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
   NodeID_ p1 = atomic_load(comp[u]);
   NodeID_ p2 = atomic_load(comp[v]);
   // Telemetry tallies live in registers and are published once per call
   // (telemetry.hpp's zero-overhead contract keeps the dormant cost to one
   // relaxed flag load).
   std::uint64_t retries = 0, cas_attempts = 0, cas_failures = 0;
+  bool merged = false;
   // lint: bounded(each retry strictly descends a finite acyclic parent chain; Lemma 5)
   while (p1 != p2) {
     const NodeID_ high = std::max(p1, p2);
@@ -69,7 +109,10 @@ void link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
     if (p_high == low) break;
     if (p_high == high) {
       ++cas_attempts;
-      if (compare_and_swap(comp[high], high, low)) break;
+      if (compare_and_swap(comp[high], high, low)) {
+        merged = true;
+        break;
+      }
       ++cas_failures;
     }
     // Lost the race or high was not a root: climb one level and retry.
@@ -78,6 +121,7 @@ void link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
     p2 = atomic_load(comp[low]);
   }
   telemetry::on_link(retries, cas_attempts, cas_failures);
+  return merged;
 }
 
 /// Compresses v's path so comp[v] points directly at its root (Fig 2b).
@@ -150,98 +194,6 @@ bool should_skip(NodeID_ v, const pvector<NodeID_>& comp,
   return opts.skip_largest && atomic_load(comp[v]) == c;
 }
 
-/// Phase 3 of Fig 5 (lines 11–15): every vertex not skipped links its
-/// remaining out-neighbors (from index `rounds` onward) and, on directed
-/// graphs, its full in-neighborhood — an arc u->v whose tail u was skipped
-/// is still reached from v's in-edges, preserving Theorem 3's
-/// both-directions argument.  Shared by afforest_cc and afforest_timed so
-/// the two cannot drift.
-template <typename NodeID_>
-void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
-                    std::int32_t rounds, const AfforestOptions& opts,
-                    NodeID_ c) {
-  using OffsetT = typename CSRGraph<NodeID_>::OffsetT;
-  const std::int64_t n = g.num_nodes();
-  const bool directed = g.directed();
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (std::int64_t v = 0; v < n; ++v) {
-    if (should_skip(static_cast<NodeID_>(v), comp, opts, c)) {
-      // Telemetry quantifies §IV-D directly: edges the skip avoided are
-      // the vertex's remaining out-neighborhood (the in-neighborhood is
-      // handled from the other endpoint, as in Theorem 3's argument).
-      // The degree load lives behind enabled() so dormant runs keep the
-      // skip branch free of offset-array reads — this is the hottest
-      // path on giant-component graphs and the zero-overhead-when-off
-      // contract must hold here.
-      if (telemetry::enabled()) {
-        const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
-        telemetry::on_phase3_skip(
-            deg > rounds ? static_cast<std::uint64_t>(deg - rounds) : 0);
-      }
-      continue;
-    }
-    const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
-    for (OffsetT k = rounds; k < deg; ++k)
-      link(static_cast<NodeID_>(v),
-           g.neighbor(static_cast<NodeID_>(v), k), comp);
-    if (directed) {
-      for (NodeID_ u : g.in_neigh(static_cast<NodeID_>(v)))
-        link(static_cast<NodeID_>(v), u, comp);
-    }
-  }
-}
-
-/// Full Afforest (paper Fig 5).  Returns component labels; labels are the
-/// minimum vertex id in each component (a property of Invariant 1 +
-/// convergence, relied on by tests).
-template <typename NodeID_>
-ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
-                                  AfforestOptions opts = {}) {
-  const std::int64_t n = g.num_nodes();
-  ComponentLabels<NodeID_> comp;
-  {
-    const telemetry::ScopedPhase phase("afforest.init");
-    comp = identity_labels<NodeID_>(n);
-  }
-
-  // Phase 1: neighbor-round subgraph sampling (Fig 5 lines 2–9).
-  const std::int32_t rounds =
-      std::max(std::int32_t{0}, opts.neighbor_rounds);
-  for (std::int32_t r = 0; r < rounds; ++r) {
-    {
-      const telemetry::ScopedPhase phase("afforest.sampling");
-#pragma omp parallel for schedule(dynamic, 16384)
-      for (std::int64_t v = 0; v < n; ++v) {
-        if (r < g.out_degree(static_cast<NodeID_>(v))) {
-          link(static_cast<NodeID_>(v),
-               g.neighbor(static_cast<NodeID_>(v), r), comp);
-        }
-      }
-    }
-    const telemetry::ScopedPhase phase("afforest.compress");
-    compress_all(comp);
-  }
-
-  // Phase 2: identify the giant intermediate component (Fig 5 line 10).
-  NodeID_ c = 0;
-  if (opts.skip_largest && n > 0) {
-    const telemetry::ScopedPhase phase("afforest.find_largest");
-    c = sample_frequent_element(comp, opts.sample_count, opts.sample_seed);
-  }
-
-  // Phase 3: link remaining edges, skipping vertices inside c.
-  {
-    const telemetry::ScopedPhase phase("afforest.final_link");
-    link_remaining(g, comp, rounds, opts, c);
-  }
-
-  {
-    const telemetry::ScopedPhase phase("afforest.compress");
-    compress_all(comp);
-  }
-  return comp;
-}
-
 /// Acceptance threshold for uniform edge sampling: an edge whose 64-bit
 /// hash is <= the threshold is linked during the sampling phase.  The
 /// mapping saturates at both ends: sample_p >= 1.0 yields max() (every
@@ -257,48 +209,196 @@ inline std::uint64_t uniform_sample_threshold(double sample_p) {
   return static_cast<std::uint64_t>(scaled);
 }
 
-/// Afforest with UNIFORM edge sampling instead of neighbor rounds — the
-/// §IV-B strategy made runnable as an ablation.  Each stored edge is
-/// linked during the sampling phase with probability p (decided by a
-/// deterministic hash, so runs are reproducible).  Because a uniform
-/// sample is not a prefix of each neighborhood, the final phase cannot
-/// resume from an offset and must reprocess sampled edges — exactly the
-/// tracking disadvantage §VI-A cites when motivating the first-k-neighbors
-/// choice.  Component skipping still applies.
+/// A span of one vertex's neighborhood, neighbors [begin, end): the
+/// Chunked schedule's unit of work, so one hub's neighborhood spreads over
+/// threads (the CPU stand-in for the GPU variant's load balancing, §VI-A).
 template <typename NodeID_>
-ComponentLabels<NodeID_> afforest_uniform_sampling(const CSRGraph<NodeID_>& g,
-                                                   double sample_p,
-                                                   AfforestOptions opts = {}) {
-  const std::int64_t n = g.num_nodes();
-  ComponentLabels<NodeID_> comp = identity_labels<NodeID_>(n);
+struct EdgeChunk {
+  NodeID_ vertex;
+  std::int64_t begin;
+  std::int64_t end;
+};
 
-  // Phase 1: link a uniform random subset of edges (saturating threshold;
-  // see uniform_sample_threshold for the p >= 1.0 UB this avoids).
-  const std::uint64_t threshold = uniform_sample_threshold(sample_p);
-#pragma omp parallel for schedule(dynamic, 4096)
+/// Splits every neighborhood (starting at `start_offset` neighbors in)
+/// into chunks of at most chunk_size edges.  Throws std::invalid_argument
+/// for chunk_size <= 0, which would divide by zero or never advance.
+template <typename NodeID_>
+pvector<EdgeChunk<NodeID_>> plan_chunks(const CSRGraph<NodeID_>& g,
+                                        std::int64_t chunk_size,
+                                        std::int64_t start_offset = 0) {
+  if (chunk_size <= 0)
+    throw std::invalid_argument("plan_chunks: chunk size must be positive");
+  const std::int64_t n = g.num_nodes();
+  pvector<std::int64_t> counts(static_cast<std::size_t>(n));
+#pragma omp parallel for schedule(static)
   for (std::int64_t v = 0; v < n; ++v) {
-    for (NodeID_ w : g.out_neigh(static_cast<NodeID_>(v))) {
-      SplitMix64 hash((static_cast<std::uint64_t>(v) << 32) ^
-                      static_cast<std::uint64_t>(w) ^ opts.sample_seed);
-      if (hash.next() <= threshold)
-        link(static_cast<NodeID_>(v), w, comp);
+    const std::int64_t deg =
+        std::max<std::int64_t>(0, g.out_degree(static_cast<NodeID_>(v)) -
+                                      start_offset);
+    counts[v] = (deg + chunk_size - 1) / chunk_size;
+  }
+  const auto offsets = parallel_prefix_sum(counts);
+  pvector<EdgeChunk<NodeID_>> chunks(
+      static_cast<std::size_t>(offsets[n]));
+#pragma omp parallel for schedule(static)
+  for (std::int64_t v = 0; v < n; ++v) {
+    const std::int64_t deg = g.out_degree(static_cast<NodeID_>(v));
+    std::int64_t pos = offsets[v];
+    for (std::int64_t b = start_offset; b < deg; b += chunk_size) {
+      chunks[pos++] = EdgeChunk<NodeID_>{
+          static_cast<NodeID_>(v), b, std::min(deg, b + chunk_size)};
     }
   }
-  compress_all(comp);
+  return chunks;
+}
 
-  // Phase 2 + 3: identify and skip the giant component, then finish with
-  // ALL edges (sampled ones are revisited — they cost one validation
-  // iteration each).
-  NodeID_ c = 0;
-  if (opts.skip_largest && n > 0)
-    c = sample_frequent_element(comp, opts.sample_count, opts.sample_seed);
+/// Phase 3 of Fig 5 (lines 11–15), on either schedule: every vertex not
+/// skipped links its out-neighbors from index `start` onward and, on
+/// directed graphs, its full in-neighborhood — an arc u->v whose tail u
+/// was skipped is still reached from v's in-edges, preserving Theorem 3's
+/// both-directions argument.
+template <typename NodeID_>
+void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
+                    std::int32_t start, const AfforestOptions& opts,
+                    NodeID_ c) {
+  using OffsetT = typename CSRGraph<NodeID_>::OffsetT;
+  const std::int64_t n = g.num_nodes();
+  if (const auto* chunked = std::get_if<Chunked>(&opts.schedule)) {
+    const auto chunks = plan_chunks(g, chunked->size, start);
+    const std::int64_t nc = static_cast<std::int64_t>(chunks.size());
+#pragma omp parallel for schedule(dynamic, 64)
+    for (std::int64_t i = 0; i < nc; ++i) {
+      const EdgeChunk<NodeID_>& chunk = chunks[i];
+      if (should_skip(chunk.vertex, comp, opts, c)) {
+        // A vertex counts as skipped once, at its first span.
+        telemetry::on_phase3_skip(
+            static_cast<std::uint64_t>(chunk.end - chunk.begin),
+            chunk.begin == start ? 1 : 0);
+        continue;
+      }
+      for (std::int64_t k = chunk.begin; k < chunk.end; ++k)
+        link(chunk.vertex, g.neighbor(chunk.vertex, k), comp);
+    }
+  } else {
+#pragma omp parallel for schedule(dynamic, 1024)
+    for (std::int64_t v = 0; v < n; ++v) {
+      if (should_skip(static_cast<NodeID_>(v), comp, opts, c)) {
+        // Telemetry quantifies §IV-D directly: edges the skip avoided are
+        // the vertex's remaining out-neighborhood (the in-neighborhood is
+        // handled from the other endpoint, as in Theorem 3's argument).
+        // The degree load lives behind enabled() so dormant runs keep the
+        // skip branch free of offset-array reads — this is the hottest
+        // path on giant-component graphs and the zero-overhead-when-off
+        // contract must hold here.
+        if (telemetry::enabled()) {
+          const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
+          telemetry::on_phase3_skip(
+              deg > start ? static_cast<std::uint64_t>(deg - start) : 0);
+        }
+        continue;
+      }
+      const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
+      for (OffsetT k = start; k < deg; ++k)
+        link(static_cast<NodeID_>(v),
+             g.neighbor(static_cast<NodeID_>(v), k), comp);
+    }
+  }
+  if (!g.directed()) return;
 #pragma omp parallel for schedule(dynamic, 1024)
   for (std::int64_t v = 0; v < n; ++v) {
     if (should_skip(static_cast<NodeID_>(v), comp, opts, c)) continue;
-    for (NodeID_ w : g.out_neigh(static_cast<NodeID_>(v)))
-      link(static_cast<NodeID_>(v), w, comp);
+    for (NodeID_ u : g.in_neigh(static_cast<NodeID_>(v)))
+      link(static_cast<NodeID_>(v), u, comp);
   }
-  compress_all(comp);
+}
+
+/// Full Afforest (paper Fig 5) for every AfforestOptions cell.  Returns
+/// component labels (weakly connected on a directed graph); labels are the
+/// minimum vertex id in each component (a property of Invariant 1 +
+/// convergence, relied on by tests).  Fills `times` when given.  Throws
+/// std::invalid_argument for a Chunked size <= 0 before any work.
+template <typename NodeID_>
+ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
+                                     const AfforestOptions& opts = {},
+                                     AfforestPhaseTimes* times = nullptr) {
+  const auto* chunked = std::get_if<Chunked>(&opts.schedule);
+  if (chunked != nullptr && chunked->size <= 0)
+    throw std::invalid_argument("afforest_cc: Chunked size must be positive");
+  if (times != nullptr) *times = {};
+  // The one phase clock: each ScopedPhase records its afforest.* name when
+  // telemetry is armed and adds to the matching *times field when given.
+  const auto slot = [times](double AfforestPhaseTimes::*field) {
+    return times != nullptr ? &(times->*field) : nullptr;
+  };
+  const std::int64_t n = g.num_nodes();
+  ComponentLabels<NodeID_> comp;
+  {
+    const telemetry::ScopedPhase phase("afforest.init",
+                                       slot(&AfforestPhaseTimes::init_s));
+    comp = identity_labels<NodeID_>(n);
+  }
+  const auto compress_phase = [&] {
+    const telemetry::ScopedPhase phase("afforest.compress",
+                                       slot(&AfforestPhaseTimes::compress_s));
+    compress_all(comp);
+  };
+
+  // Phase 1: subgraph sampling (Fig 5 lines 2–9).  Neighbor rounds sample
+  // a prefix of every neighborhood, so phase 3 resumes after it; a uniform
+  // sample is no prefix, so phase 3 revisits every edge — the tracking
+  // cost §VI-A cites for the first-k-neighbors choice.
+  const auto* rounds = std::get_if<NeighborRounds>(&opts.sampling);
+  const std::int32_t start =
+      rounds != nullptr ? std::max(std::int32_t{0}, rounds->k) : 0;
+  for (std::int32_t r = 0; r < start; ++r) {
+    {
+      const telemetry::ScopedPhase phase(
+          "afforest.sampling", slot(&AfforestPhaseTimes::sampling_s));
+#pragma omp parallel for schedule(dynamic, 16384)
+      for (std::int64_t v = 0; v < n; ++v) {
+        if (r < g.out_degree(static_cast<NodeID_>(v))) {
+          link(static_cast<NodeID_>(v),
+               g.neighbor(static_cast<NodeID_>(v), r), comp);
+        }
+      }
+    }
+    compress_phase();
+  }
+  if (rounds == nullptr) {
+    {
+      const telemetry::ScopedPhase phase(
+          "afforest.sampling", slot(&AfforestPhaseTimes::sampling_s));
+      const std::uint64_t threshold =
+          uniform_sample_threshold(std::get<UniformEdges>(opts.sampling).p);
+#pragma omp parallel for schedule(dynamic, 4096)
+      for (std::int64_t v = 0; v < n; ++v) {
+        for (NodeID_ w : g.out_neigh(static_cast<NodeID_>(v))) {
+          SplitMix64 hash((static_cast<std::uint64_t>(v) << 32) ^
+                          static_cast<std::uint64_t>(w) ^ opts.sample_seed);
+          if (hash.next() <= threshold)
+            link(static_cast<NodeID_>(v), w, comp);
+        }
+      }
+    }
+    compress_phase();
+  }
+
+  // Phase 2: identify the giant intermediate component (Fig 5 line 10).
+  NodeID_ c = 0;
+  if (opts.skip_largest && n > 0) {
+    const telemetry::ScopedPhase phase(
+        "afforest.find_largest", slot(&AfforestPhaseTimes::find_component_s));
+    c = sample_frequent_element(comp, opts.sample_count, opts.sample_seed);
+  }
+
+  // Phase 3: link remaining edges, skipping vertices inside c.
+  {
+    const telemetry::ScopedPhase phase(
+        "afforest.final_link", slot(&AfforestPhaseTimes::final_link_s));
+    link_remaining(g, comp, start, opts, c);
+  }
+
+  compress_phase();
   return comp;
 }
 
@@ -308,7 +408,7 @@ template <typename NodeID_>
 ComponentLabels<NodeID_> afforest_no_skip(const CSRGraph<NodeID_>& g,
                                           std::int32_t neighbor_rounds = 2) {
   AfforestOptions opts;
-  opts.neighbor_rounds = neighbor_rounds;
+  opts.sampling = NeighborRounds{neighbor_rounds};
   opts.skip_largest = false;
   return afforest_cc(g, opts);
 }

@@ -2,13 +2,13 @@
 //
 // The paper observes that tree-hooking CC algorithms double as
 // spanning-forest algorithms by "tracking the edges contributing to a tree
-// merge during the execution".  This file implements that: link_witness is
-// link() that additionally reports whether THIS call's CAS performed the
-// merge.  Every successful CAS hooks the root of one tree under a vertex
-// of a different tree (if l were in h's own tree, Invariant 1 would force
-// l ≥ root(h) = h's minimum — contradiction with l < h), so each success
-// reduces the tree count by exactly one and the collected witnesses form a
-// spanning forest: |V| − C edges, acyclic, connectivity-preserving.
+// merge during the execution".  This file implements that: link() returns
+// true iff THIS call's CAS performed the merge.  Every successful CAS hooks
+// the root of one tree under a vertex of a different tree (if l were in
+// h's own tree, Invariant 1 would force l ≥ root(h) = h's minimum —
+// contradiction with l < h), so each success reduces the tree count by
+// exactly one and the collected witnesses form a spanning forest: |V| − C
+// edges, acyclic, connectivity-preserving.
 #pragma once
 
 #include <cstdint>
@@ -22,26 +22,6 @@
 #include "util/platform.hpp"
 
 namespace afforest {
-
-/// link() that returns true iff this call's CAS merged two trees.
-// lint: parallel-context
-template <typename NodeID_>
-bool link_witness(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
-  NodeID_ p1 = atomic_load(comp[u]);
-  NodeID_ p2 = atomic_load(comp[v]);
-  // lint: bounded(each retry strictly descends a finite acyclic parent chain; Lemma 5)
-  while (p1 != p2) {
-    const NodeID_ high = std::max(p1, p2);
-    const NodeID_ low = std::min(p1, p2);
-    const NodeID_ p_high = atomic_load(comp[high]);
-    if (p_high == low) break;
-    if (p_high == high && compare_and_swap(comp[high], high, low))
-      return true;
-    p1 = atomic_load(comp[atomic_load(comp[high])]);
-    p2 = atomic_load(comp[low]);
-  }
-  return false;
-}
 
 template <typename NodeID_>
 struct ForestResult {
@@ -73,7 +53,7 @@ ForestResult<NodeID_> afforest_spanning_forest(const CSRGraph<NodeID_>& g,
       for (std::int64_t v = 0; v < n; ++v) {
         if (r < g.out_degree(static_cast<NodeID_>(v))) {
           const NodeID_ w = g.neighbor(static_cast<NodeID_>(v), r);
-          if (link_witness(static_cast<NodeID_>(v), w, comp))
+          if (link(static_cast<NodeID_>(v), w, comp))
             local.push_back({static_cast<NodeID_>(v), w});
         }
       }
@@ -89,7 +69,7 @@ ForestResult<NodeID_> afforest_spanning_forest(const CSRGraph<NodeID_>& g,
       const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
       for (OffsetT k = rounds; k < deg; ++k) {
         const NodeID_ w = g.neighbor(static_cast<NodeID_>(v), k);
-        if (link_witness(static_cast<NodeID_>(v), w, comp))
+        if (link(static_cast<NodeID_>(v), w, comp))
           local.push_back({static_cast<NodeID_>(v), w});
       }
     }

@@ -1,4 +1,5 @@
-// Parallel spanning forest via link witnesses (§IV-A dual).
+// Parallel spanning forest via link witnesses (§IV-A dual): link() returns
+// true iff its own CAS merged two trees.
 #include <gtest/gtest.h>
 
 #include "cc/afforest_forest.hpp"
@@ -15,16 +16,16 @@ using NodeID = std::int32_t;
 
 TEST(LinkWitness, ReportsMergeExactlyOnce) {
   auto comp = identity_labels<NodeID>(4);
-  EXPECT_TRUE(link_witness<NodeID>(0, 1, comp));
-  EXPECT_FALSE(link_witness<NodeID>(0, 1, comp));
-  EXPECT_FALSE(link_witness<NodeID>(1, 0, comp));
+  EXPECT_TRUE(link<NodeID>(0, 1, comp));
+  EXPECT_FALSE(link<NodeID>(0, 1, comp));
+  EXPECT_FALSE(link<NodeID>(1, 0, comp));
 }
 
 TEST(LinkWitness, ChainOfMergesCountsVMinusC) {
   auto comp = identity_labels<NodeID>(8);
   int merges = 0;
   for (NodeID v = 1; v < 8; ++v)
-    if (link_witness<NodeID>(static_cast<NodeID>(v - 1), v, comp)) ++merges;
+    if (link<NodeID>(static_cast<NodeID>(v - 1), v, comp)) ++merges;
   EXPECT_EQ(merges, 7);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <tuple>
 
 #include "cc/afforest.hpp"
@@ -84,7 +85,7 @@ TEST(Afforest, StarGraphWhereRootHasHighestId) {
   EXPECT_EQ(count_components(comp), 1);
 }
 
-// Sweep neighbor_rounds x skip_largest over every suite family.
+// Sweep neighbor rounds x skip_largest over every suite family.
 class AfforestConfigTest
     : public ::testing::TestWithParam<std::tuple<int, bool, std::string>> {};
 
@@ -92,7 +93,7 @@ TEST_P(AfforestConfigTest, MatchesReferenceOnSuiteGraph) {
   const auto [rounds, skip, family] = GetParam();
   const Graph g = make_suite_graph(family, 10);
   AfforestOptions opts;
-  opts.neighbor_rounds = rounds;
+  opts.sampling = NeighborRounds{rounds};
   opts.skip_largest = skip;
   const auto comp = afforest_cc(g, opts);
   EXPECT_TRUE(labels_equivalent(comp, union_find_cc(g)))
@@ -117,8 +118,23 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Afforest, NegativeNeighborRoundsClampedToZero) {
   const Graph g = make_suite_graph("urand", 8);
   AfforestOptions opts;
-  opts.neighbor_rounds = -3;
+  opts.sampling = NeighborRounds{-3};
   EXPECT_TRUE(verify_cc(g, afforest_cc(g, opts)));
+}
+
+TEST(Afforest, RejectsNonPositiveChunkSizeAtEntry) {
+  // Size 0 would divide by zero in the chunk planner and a negative size
+  // would never advance; the driver refuses both before phase 1.
+  const Graph g = make_suite_graph("kron", 8);
+  for (const std::int64_t size : {0, -1, -64}) {
+    AfforestOptions opts;
+    opts.schedule = Chunked{size};
+    AfforestPhaseTimes times;
+    times.init_s = -1.0;  // untouched iff the driver threw at entry
+    EXPECT_THROW(afforest_cc(g, opts, &times), std::invalid_argument)
+        << "size=" << size;
+    EXPECT_EQ(times.init_s, -1.0) << "size=" << size;
+  }
 }
 
 TEST(Afforest, TinySampleCountStillCorrect) {
@@ -133,7 +149,7 @@ TEST(Afforest, TinySampleCountStillCorrect) {
 TEST(Afforest, NeighborRoundsBeyondMaxDegree) {
   const Graph g = build_undirected(EdgeList<NodeID>{{0, 1}, {1, 2}}, 3);
   AfforestOptions opts;
-  opts.neighbor_rounds = 100;  // exceeds every degree
+  opts.sampling = NeighborRounds{100};  // exceeds every degree
   EXPECT_TRUE(verify_cc(g, afforest_cc(g, opts)));
 }
 
@@ -149,23 +165,6 @@ TEST(AfforestNoSkip, MatchesSkippingVariant) {
   const Graph g = make_suite_graph("web", 11);
   EXPECT_TRUE(labels_equivalent(afforest_cc(g), afforest_no_skip(g)));
 }
-
-class UniformSamplingTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(UniformSamplingTest, MatchesReferenceAcrossSamplingRates) {
-  // §IV-B ablation variant: correctness must hold for any sampling
-  // probability, including p=0 (no sampling) and p=1 (sample everything).
-  const double p = GetParam();
-  for (const auto* family : {"web", "urand", "kron"}) {
-    const Graph g = make_suite_graph(family, 10);
-    EXPECT_TRUE(labels_equivalent(afforest_uniform_sampling(g, p),
-                                  union_find_cc(g)))
-        << family << " p=" << p;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Rates, UniformSamplingTest,
-                         ::testing::Values(0.0, 0.05, 0.25, 0.5, 1.0));
 
 TEST(AfforestUniformSampling, ThresholdSaturatesAtFullSampling) {
   // Regression: sample_p >= 1.0 used to cast sample_p * 2^64 to uint64,
@@ -197,16 +196,19 @@ TEST(AfforestUniformSampling, OversamplingProbabilityStaysCorrect) {
   // cast was UB for any p >= 1.0, so this doubles as the UBSan regression.
   for (const double p : {1.0, 2.0, 64.0}) {
     const Graph g = make_suite_graph("urand", 10);
-    EXPECT_TRUE(labels_equivalent(afforest_uniform_sampling(g, p),
-                                  union_find_cc(g)))
+    AfforestOptions opts;
+    opts.sampling = UniformEdges{p};
+    EXPECT_TRUE(labels_equivalent(afforest_cc(g, opts), union_find_cc(g)))
         << "p=" << p;
   }
 }
 
 TEST(AfforestUniformSampling, DeterministicForSeed) {
   const Graph g = make_suite_graph("kron", 10);
-  const auto a = afforest_uniform_sampling(g, 0.1);
-  const auto b = afforest_uniform_sampling(g, 0.1);
+  AfforestOptions opts;
+  opts.sampling = UniformEdges{0.1};
+  const auto a = afforest_cc(g, opts);
+  const auto b = afforest_cc(g, opts);
   for (std::size_t v = 0; v < a.size(); ++v) ASSERT_EQ(a[v], b[v]);
 }
 

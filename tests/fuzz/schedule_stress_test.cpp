@@ -2,7 +2,8 @@
 // lock-free kernels.
 //
 // Three axes (tentpole item 2):
-//   - OpenMP thread counts and chunk sizes (afforest_balanced's planner);
+//   - OpenMP thread counts (chunk sizes of afforest_cc's Chunked schedule
+//     are swept by driver_matrix_test.cpp);
 //   - deliberate edge-order shuffles: the CSR is rebuilt UNSORTED from a
 //     permuted edge list, so Afforest's neighbor-round sampling sees a
 //     different edge subset every time — the partition must not care;
@@ -32,7 +33,6 @@
 #include "cc/shiloach_vishkin.hpp"
 #include "cc/union_find.hpp"
 #include "cc/verifier.hpp"
-#include "exec/chunked.hpp"
 #include "fuzz/fuzz_common.hpp"
 #include "graph/builder.hpp"
 #include "util/platform.hpp"
@@ -128,18 +128,6 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep,
                            return "t" + std::to_string(info.param);
                          });
 
-TEST(ChunkSweep, BalancedAfforestInvariantUnderChunkSize) {
-  const auto in = fuzz::make_fuzz_input("kron", 11, 5);
-  const Graph g = build_undirected(in.edges, in.num_nodes);
-  const auto truth = union_find_cc(g);
-  for (std::int64_t chunk : {std::int64_t{1}, std::int64_t{3}, std::int64_t{16},
-                             std::int64_t{64}, std::int64_t{1024},
-                             std::int64_t{1} << 20}) {
-    EXPECT_TRUE(labels_equivalent(afforest_balanced(g, {}, chunk), truth))
-        << "chunk_size=" << chunk;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Edge-order shuffles: the CSR is rebuilt UNSORTED from permuted edges, so
 // neighbor order (and hence the sampled subgraph) changes per shuffle.
@@ -157,7 +145,7 @@ TEST(EdgeOrderShuffle, PartitionIndependentOfEdgeOrder) {
     const Graph g = Builder<NodeID>(opts).build(edges, base.num_nodes);
     for (std::int32_t rounds : {0, 1, 2, 5}) {
       AfforestOptions aopts;
-      aopts.neighbor_rounds = rounds;
+      aopts.sampling = NeighborRounds{rounds};
       EXPECT_TRUE(labels_equivalent(afforest_cc(g, aopts), truth))
           << "shuffle=" << s << " rounds=" << rounds;
     }

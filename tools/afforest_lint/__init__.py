@@ -37,7 +37,7 @@ files marked `// lint-scope: serve`):
                                          failpoint or a reasoned waiver
   LY  afforest-include-layering          includes must follow the declared
                                          layer map (util < graph < cc/
-                                         analysis < exec/dist/serve <
+                                         analysis < dist/serve <
                                          bench < apps)
 
 The primary engine is a dependency-free lexical/structural analyzer

@@ -145,7 +145,6 @@ LAYER_ALLOWED: dict[str, frozenset[str]] = {
     "graph": frozenset({"graph", "util"}),
     "analysis": frozenset({"analysis", "cc", "graph", "util"}),
     "cc": frozenset({"cc", "analysis", "graph", "util"}),
-    "exec": frozenset({"exec", "cc", "graph", "util"}),
     "dist": frozenset({"dist", "cc", "analysis", "graph", "util"}),
     "serve": frozenset({"serve", "cc", "analysis", "graph", "util"}),
     # The sharded coordinator composes serve engines with the dist layer's
@@ -154,18 +153,18 @@ LAYER_ALLOWED: dict[str, frozenset[str]] = {
         {"shard", "serve", "dist", "cc", "analysis", "graph", "util"}
     ),
     "bench": frozenset(
-        {"bench", "shard", "exec", "dist", "serve", "cc", "analysis",
-         "graph", "util"}
+        {"bench", "shard", "dist", "serve", "cc", "analysis", "graph",
+         "util"}
     ),
     "apps": frozenset(
-        {"apps", "bench", "shard", "exec", "dist", "serve", "cc", "analysis",
+        {"apps", "bench", "shard", "dist", "serve", "cc", "analysis",
          "graph", "util"}
     ),
 }
 
 _INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 _SRC_LAYER_RE = re.compile(
-    r"/src/(util|graph|analysis|cc|exec|dist|serve|shard)/"
+    r"/src/(util|graph|analysis|cc|dist|serve|shard)/"
 )
 
 
