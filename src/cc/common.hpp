@@ -8,12 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 
 #include "graph/csr_graph.hpp"
+#include "graph/label_width.hpp"
 #include "util/pvector.hpp"
 
 namespace afforest {
@@ -49,42 +49,6 @@ void check_vertex_range(const char* context, NodeID_ v,
                         std::int64_t num_nodes) {
   if (v < 0 || static_cast<std::int64_t>(v) >= num_nodes)
     throw VertexRangeError(context, static_cast<std::int64_t>(v), num_nodes);
-}
-
-/// Typed rejection of a vertex count that does not fit the label type:
-/// a kernel asked to label n vertices with a NodeID_ whose max is below
-/// n - 1 would silently truncate ids (the int32 ceiling bug this class
-/// was introduced to fix in dist/partitioned_cc).  Derives from
-/// std::overflow_error; carries the structured fields so callers pick a
-/// wider label type instead of parsing the message.
-class LabelWidthError : public std::overflow_error {
- public:
-  LabelWidthError(const std::string& context, std::int64_t num_nodes,
-                  std::int64_t max_label)
-      : std::overflow_error(context + ": " + std::to_string(num_nodes) +
-                            " vertices do not fit the label type (max id " +
-                            std::to_string(max_label) +
-                            "); instantiate with a wider NodeID_"),
-        num_nodes_(num_nodes),
-        max_label_(max_label) {}
-
-  [[nodiscard]] std::int64_t num_nodes() const { return num_nodes_; }
-  [[nodiscard]] std::int64_t max_label() const { return max_label_; }
-
- private:
-  std::int64_t num_nodes_;
-  std::int64_t max_label_;
-};
-
-/// Validates that every id in [0, num_nodes) is representable as NodeID_;
-/// throws LabelWidthError tagged with `context` otherwise.  Call before
-/// allocating labels so the failure is a typed error, not a truncated id.
-template <typename NodeID_>
-void check_label_width(const char* context, std::int64_t num_nodes) {
-  constexpr std::int64_t max_label =
-      static_cast<std::int64_t>(std::numeric_limits<NodeID_>::max());
-  if (num_nodes - 1 > max_label)
-    throw LabelWidthError(context, num_nodes, max_label);
 }
 
 template <typename NodeID_>

@@ -2,13 +2,23 @@
 //
 // Pipeline (all stages parallel):
 //   1. (undirected) symmetrize: emit both directions of each edge
-//   2. count per-vertex degrees with atomic increments
+//   2. count per-vertex degrees with atomic increments; self loops are
+//      dropped here when requested
 //   3. exclusive prefix sum over degrees → row offsets
-//   4. scatter neighbors into their rows with per-row atomic cursors
+//   4. fill the rows owner-computes: each thread owns a contiguous row range
+//      holding ~1/T of the entries, scans the whole edge list and stores
+//      only its own rows' entries through plain cursors.  No store needs a
+//      lock, and every row lists its entries in edge-list order at any team
+//      size.
 //   5. sort each row (optional, on by default: sorted rows make the
 //      "first appearing neighbors" used for neighbor sampling deterministic
 //      and improve locality)
-//   6. remove self loops / duplicate edges (optional)
+//   6. remove duplicate edges (optional): std::unique each sorted row in
+//      place, prefix-sum the kept degrees and shift the rows left (a row
+//      never moves right), so no second neighbor array is allocated
+// Directed builds then derive the in-edge rows from the final out-rows with
+// the same count, prefix sum and fill; the fill reads sources in ascending
+// order, so every in-row comes out sorted.
 //
 // The paper's neighbor sampling "uses the graph file structure by choosing
 // the first appearing neighbors of each vertex" (§VI-A); with sorted rows
@@ -16,12 +26,16 @@
 // implementation samples.
 #pragma once
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
+#include "graph/label_width.hpp"
 #include "util/failpoint.hpp"
 #include "util/parallel.hpp"
 #include "util/pvector.hpp"
@@ -49,50 +63,58 @@ class Builder {
 
   /// Builds a CSR graph over vertex ids [0, num_nodes).  Edges referencing
   /// ids outside that range throw.  When num_nodes < 0 it is inferred as
-  /// max id + 1.
+  /// max id + 1.  A num_nodes NodeID_ cannot label throws LabelWidthError
+  /// before anything is allocated.
   [[nodiscard]] CSRGraph<NodeID_> build(const EdgeList<NodeID_>& edges,
                                         OffsetT num_nodes = -1) const {
     failpoint_maybe_fail("builder.build");
     if (num_nodes < 0) num_nodes = infer_num_nodes(edges);
+    check_label_width<NodeID_>("Builder::build", num_nodes);
     validate(edges, num_nodes);
 
-    // Degree counting.  Self loops are dropped up front when requested.
-    pvector<OffsetT> degrees(static_cast<std::size_t>(num_nodes), 0);
+    // Edge i's entries as (row, value) pairs.  Self loops are dropped up
+    // front when requested.
+    const auto edge_entries = [this, &edges](std::int64_t i, auto&& put) {
+      const auto [u, v] = edges[i];
+      if (opts_.remove_self_loops && u == v) return;
+      put(u, v);
+      if (opts_.symmetrize) put(v, u);
+    };
     const std::int64_t ne = static_cast<std::int64_t>(edges.size());
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < ne; ++i) {
-      const auto [u, v] = edges[i];
-      if (opts_.remove_self_loops && u == v) continue;
-      fetch_and_add(degrees[u], OffsetT{1});
-      if (opts_.symmetrize) fetch_and_add(degrees[v], OffsetT{1});
-    }
 
+    pvector<OffsetT> degrees(static_cast<std::size_t>(num_nodes), 0);
+#pragma omp parallel for schedule(static)
+    for (std::int64_t i = 0; i < ne; ++i)
+      edge_entries(i, [&degrees](NodeID_ row, NodeID_) {
+        fetch_and_add(degrees[row], OffsetT{1});
+      });
+
+    // Once the offsets exist the counts are spent: `degrees` becomes the
+    // fill's row cursors, then the dedup's kept counts.
     pvector<OffsetT> offsets = parallel_prefix_sum(degrees);
-    const OffsetT total = offsets[num_nodes];
-
-    pvector<NodeID_> neighbors(static_cast<std::size_t>(total));
-    pvector<OffsetT> cursors = offsets.clone();
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < ne; ++i) {
-      const auto [u, v] = edges[i];
-      if (opts_.remove_self_loops && u == v) continue;
-      neighbors[fetch_and_add(cursors[u], OffsetT{1})] = v;
-      if (opts_.symmetrize)
-        neighbors[fetch_and_add(cursors[v], OffsetT{1})] = u;
-    }
+    pvector<NodeID_> neighbors = fill_rows(offsets, degrees, ne, edge_entries);
 
     if (opts_.sort_neighbors) {
 #pragma omp parallel for schedule(dynamic, 64)
-      for (std::int64_t v = 0; v < num_nodes; ++v)
-        std::sort(neighbors.data() + offsets[v],
-                  neighbors.data() + offsets[v + 1]);
+      for (std::int64_t v = 0; v < num_nodes; ++v) {
+        NodeID_* first = neighbors.data() + offsets[v];
+        NodeID_* last = neighbors.data() + offsets[v + 1];
+        std::sort(first, last);
+        if (opts_.remove_duplicates)
+          degrees[v] = std::unique(first, last) - first;
+      }
     }
+    if (opts_.remove_duplicates)
+      offsets = shift_rows_left(offsets, degrees, neighbors);
 
-    CSRGraph<NodeID_> g(num_nodes, std::move(offsets), std::move(neighbors),
-                        /*directed=*/!opts_.symmetrize);
-    if (opts_.remove_duplicates) g = dedup(std::move(g));
-    if (!opts_.symmetrize && opts_.build_in_edges) g = add_inverse(std::move(g));
-    return g;
+    if (opts_.symmetrize || !opts_.build_in_edges)
+      return CSRGraph<NodeID_>(num_nodes, std::move(offsets),
+                               std::move(neighbors),
+                               /*directed=*/!opts_.symmetrize);
+    auto [in_offsets, in_neighbors] = invert(offsets, neighbors);
+    return CSRGraph<NodeID_>(num_nodes, std::move(offsets),
+                             std::move(neighbors), std::move(in_offsets),
+                             std::move(in_neighbors));
   }
 
  private:
@@ -118,65 +140,87 @@ class Builder {
     if (!ok) throw std::out_of_range("edge references vertex out of range");
   }
 
-  /// Rebuilds the graph with duplicate entries removed from each (sorted)
-  /// row.  Keeps the graph symmetric: duplicates appear in both rows.
-  [[nodiscard]] CSRGraph<NodeID_> dedup(CSRGraph<NodeID_> g) const {
-    const OffsetT n = g.num_nodes();
-    pvector<OffsetT> degrees(static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(dynamic, 64)
-    for (std::int64_t v = 0; v < n; ++v) {
-      OffsetT count = 0;
-      NodeID_ prev = -1;
-      for (NodeID_ w : g.out_neigh(static_cast<NodeID_>(v))) {
-        if (count == 0 || w != prev) ++count;
-        prev = w;
-      }
-      degrees[v] = count;
-    }
-    pvector<OffsetT> offsets = parallel_prefix_sum(degrees);
-    pvector<NodeID_> neighbors(static_cast<std::size_t>(offsets[n]));
-#pragma omp parallel for schedule(dynamic, 64)
-    for (std::int64_t v = 0; v < n; ++v) {
-      OffsetT pos = offsets[v];
-      NodeID_ prev = -1;
-      bool first = true;
-      for (NodeID_ w : g.out_neigh(static_cast<NodeID_>(v))) {
-        if (first || w != prev) neighbors[pos++] = w;
-        prev = w;
-        first = false;
-      }
-    }
-    return CSRGraph<NodeID_>(n, std::move(offsets), std::move(neighbors),
-                             g.directed());
+  /// First row owned by thread t of a `team`-thread fill: the first row
+  /// that starts at or after t/team of the entries.  Thread t owns
+  /// [row_boundary(t), row_boundary(t + 1)); the ranges tile [0, |V|).
+  [[nodiscard]] static std::int64_t row_boundary(
+      const pvector<OffsetT>& offsets, int t, int team) {
+    const std::int64_t n = static_cast<std::int64_t>(offsets.size()) - 1;
+    if (t == team) return n;
+    const OffsetT target = offsets[n] * t / team;
+    return std::lower_bound(offsets.begin(), offsets.begin() + n, target) -
+           offsets.begin();
   }
 
-  /// Derives the inverse (in-edge) adjacency from a directed graph's final
-  /// out-CSR, so both directions agree after dedup/self-loop removal.
-  [[nodiscard]] static CSRGraph<NodeID_> add_inverse(CSRGraph<NodeID_> g) {
-    const OffsetT n = g.num_nodes();
+  /// Fills the rows laid out by `offsets` from an ordered entry stream:
+  /// entries(i, put) calls put(row, value) for each entry of item i, for
+  /// items 0..num_items-1.  Owner computes: every thread scans all items
+  /// and stores only the entries of the rows it owns, through plain
+  /// cursors, so each row lists its entries in stream order whatever the
+  /// team size.  `cursors` is |V| entries of working space, overwritten.
+  template <typename Entries>
+  [[nodiscard]] static pvector<NodeID_> fill_rows(
+      const pvector<OffsetT>& offsets, pvector<OffsetT>& cursors,
+      std::int64_t num_items, const Entries& entries) {
+    const std::int64_t n = static_cast<std::int64_t>(cursors.size());
+    pvector<NodeID_> neighbors(static_cast<std::size_t>(offsets[n]));
+    NodeID_* const out = neighbors.data();
+    OffsetT* const cursor = cursors.data();
+#pragma omp parallel
+    {
+      const int team = omp_get_num_threads();
+      const int t = omp_get_thread_num();
+      const std::int64_t lo = row_boundary(offsets, t, team);
+      const std::int64_t hi = row_boundary(offsets, t + 1, team);
+      // Fault this thread's slice in row order before the scattered stores.
+      std::fill(out + offsets[lo], out + offsets[hi], NodeID_{0});
+      std::copy(offsets.data() + lo, offsets.data() + hi, cursor + lo);
+      for (std::int64_t i = 0; i < num_items; ++i)
+        entries(i, [&](NodeID_ row, NodeID_ value) {
+          if (row >= lo && row < hi) out[cursor[row]++] = value;
+        });
+    }
+    return neighbors;
+  }
+
+  /// Keeps the first kept[v] entries of every row and closes the gaps by
+  /// shifting rows left in one in-order pass: a row never moves right, so
+  /// each copy reads only entries no earlier copy has overwritten.
+  /// Returns the new offsets; `neighbors` shrinks in place.
+  [[nodiscard]] static pvector<OffsetT> shift_rows_left(
+      const pvector<OffsetT>& offsets, const pvector<OffsetT>& kept,
+      pvector<NodeID_>& neighbors) {
+    pvector<OffsetT> new_offsets = parallel_prefix_sum(kept);
+    const std::int64_t n = static_cast<std::int64_t>(kept.size());
+    NodeID_* const data = neighbors.data();
+    for (std::int64_t v = 0; v < n; ++v)
+      if (new_offsets[v] != offsets[v])
+        std::copy(data + offsets[v], data + offsets[v] + kept[v],
+                  data + new_offsets[v]);
+    neighbors.resize(static_cast<std::size_t>(new_offsets[n]));
+    return new_offsets;
+  }
+
+  /// Derives the inverse (in-edge) rows from a directed graph's final
+  /// out-rows, so both directions agree after dedup/self-loop removal.
+  [[nodiscard]] static std::pair<pvector<OffsetT>, pvector<NodeID_>> invert(
+      const pvector<OffsetT>& offsets, const pvector<NodeID_>& neighbors) {
+    const std::int64_t n = static_cast<std::int64_t>(offsets.size()) - 1;
+    const auto in_entries = [&offsets, &neighbors](std::int64_t u,
+                                                   auto&& put) {
+      for (OffsetT e = offsets[u]; e < offsets[u + 1]; ++e)
+        put(neighbors[e], static_cast<NodeID_>(u));
+    };
     pvector<OffsetT> in_degrees(static_cast<std::size_t>(n), 0);
 #pragma omp parallel for schedule(dynamic, 64)
     for (std::int64_t u = 0; u < n; ++u)
-      for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
-        fetch_and_add(in_degrees[v], OffsetT{1});
+      in_entries(u, [&in_degrees](NodeID_ row, NodeID_) {
+        fetch_and_add(in_degrees[row], OffsetT{1});
+      });
     pvector<OffsetT> in_offsets = parallel_prefix_sum(in_degrees);
-    pvector<NodeID_> in_neighbors(
-        static_cast<std::size_t>(in_offsets[n]));
-    pvector<OffsetT> cursors = in_offsets.clone();
-#pragma omp parallel for schedule(dynamic, 64)
-    for (std::int64_t u = 0; u < n; ++u)
-      for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
-        in_neighbors[fetch_and_add(cursors[v], OffsetT{1})] =
-            static_cast<NodeID_>(u);
-#pragma omp parallel for schedule(dynamic, 64)
-    for (std::int64_t v = 0; v < n; ++v)
-      std::sort(in_neighbors.data() + in_offsets[v],
-                in_neighbors.data() + in_offsets[v + 1]);
-    pvector<OffsetT> out_offsets = g.offsets().clone();
-    pvector<NodeID_> out_neighbors = g.neighbors().clone();
-    return CSRGraph<NodeID_>(n, std::move(out_offsets),
-                             std::move(out_neighbors), std::move(in_offsets),
-                             std::move(in_neighbors));
+    pvector<NodeID_> in_neighbors =
+        fill_rows(in_offsets, in_degrees, n, in_entries);
+    return {std::move(in_offsets), std::move(in_neighbors)};
   }
 
   BuilderOptions opts_;

@@ -104,8 +104,11 @@ class DynamicCC {
  public:
   using View = typename SnapshotStore<NodeID_>::View;
 
+  /// Throws LabelWidthError when NodeID_ cannot label num_nodes vertices
+  /// and std::invalid_argument for a negative count, before allocating.
   explicit DynamicCC(std::int64_t num_nodes)
-      : adj_(static_cast<std::size_t>(num_nodes)),
+      : adj_(static_cast<std::size_t>(
+            check_label_width<NodeID_>("DynamicCC", num_nodes))),
         forest_(num_nodes),
         labels_(identity_labels<NodeID_>(num_nodes)),
         store_(num_nodes) {}

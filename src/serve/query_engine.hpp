@@ -57,8 +57,12 @@ class QueryEngine {
  public:
   using View = typename SnapshotStore<NodeID_>::View;
 
+  /// Throws LabelWidthError when NodeID_ cannot label num_nodes vertices
+  /// and std::invalid_argument for a negative count, before allocating.
   explicit QueryEngine(std::int64_t num_nodes)
-      : live_(identity_labels<NodeID_>(num_nodes)), store_(num_nodes) {}
+      : live_(identity_labels<NodeID_>(
+            check_label_width<NodeID_>("QueryEngine", num_nodes))),
+        store_(num_nodes) {}
 
   [[nodiscard]] std::int64_t num_nodes() const {
     return static_cast<std::int64_t>(live_.size());

@@ -144,7 +144,10 @@ class SnapshotStore {
     const Snapshot* snap_;
   };
 
+  /// Throws LabelWidthError when NodeID_ cannot label num_nodes vertices
+  /// and std::invalid_argument for a negative count, before allocating.
   explicit SnapshotStore(std::int64_t num_nodes) {
+    check_label_width<NodeID_>("SnapshotStore", num_nodes);
     for (Snapshot& s : buffers_) {
       s.labels = identity_labels<NodeID_>(num_nodes);
       s.sizes = pvector<std::int64_t>(static_cast<std::size_t>(num_nodes),

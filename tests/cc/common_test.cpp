@@ -63,6 +63,12 @@ TEST(CheckLabelWidth, RejectsOneOverWithStructuredFields) {
       LabelWidthError);
 }
 
+TEST(CheckLabelWidth, RejectsNegativeCountAndReturnsValidOne) {
+  EXPECT_THROW(check_label_width<std::int32_t>("unit", -1),
+               std::invalid_argument);
+  EXPECT_EQ(check_label_width<std::int16_t>("unit", 32768), 32768);
+}
+
 TEST(CheckLabelWidth, DerivesFromOverflowError) {
   // Pre-existing catch sites on std::overflow_error keep working.
   EXPECT_THROW(check_label_width<std::int16_t>("unit", 1 << 20),

@@ -188,10 +188,12 @@ TEST(PartitionedCC, ExactLabelsAtWidestRepresentableBoundary) {
 
 TEST(PartitionedCC, OverflowingNodeCountThrowsTypedError) {
   // One vertex past the widest representable shape must throw the typed
-  // guard, not truncate.
+  // guard, not truncate.  The builder refuses this shape itself, so the
+  // edgeless CSR is laid out by hand to reach partitioned_cc's own guard.
   using Narrow = std::int16_t;
-  EdgeList<Narrow> edges;
-  const CSRGraph<Narrow> g = build_undirected(edges, std::int64_t{32769});
+  const std::int64_t n = 32769;
+  const CSRGraph<Narrow> g(n, pvector<std::int64_t>(n + 1, 0),
+                           pvector<Narrow>());
   try {
     (void)partitioned_cc(g, 2);
     FAIL() << "expected LabelWidthError";

@@ -100,6 +100,25 @@ TEST(Builder, NegativeVertexIdThrows) {
   EXPECT_THROW(build_undirected(edges, 3), std::out_of_range);
 }
 
+TEST(Builder, NarrowLabelTypeThrowsTypedOverflow) {
+  // int16 ids cap at 32767: a 40000-vertex build is refused before any
+  // allocation instead of wrapping row ids negative.
+  using Narrow = std::int16_t;
+  const EdgeList<Narrow> edges{{0, 1}, {1, 2}};
+  try {
+    (void)Builder<Narrow>{}.build(edges, 40000);
+    FAIL() << "expected LabelWidthError";
+  } catch (const LabelWidthError& e) {
+    EXPECT_EQ(e.num_nodes(), 40000);
+    EXPECT_EQ(e.max_label(), 32767);
+  }
+  // The widest representable shape builds.
+  const CSRGraph<Narrow> g = Builder<Narrow>{}.build(edges, 32768);
+  EXPECT_EQ(g.num_nodes(), 32768);
+  EXPECT_EQ(g.out_degree(1), 2);
+  EXPECT_EQ(g.out_degree(32767), 0);
+}
+
 TEST(Builder, EmptyEdgeListYieldsEdgelessGraph) {
   EdgeList<NodeID> edges;
   const Graph g = build_undirected(edges, 5);

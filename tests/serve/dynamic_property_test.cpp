@@ -227,6 +227,26 @@ TEST(DynamicProperty, WindowOfZeroBatchesIsRejected) {
                std::invalid_argument);
 }
 
+TEST(DynamicProperty, RejectsSizesTheLabelTypeCannotHold) {
+  using Narrow = serve::DynamicCC<std::int16_t>;
+  try {
+    const Narrow engine(40000);
+    FAIL() << "expected LabelWidthError";
+  } catch (const LabelWidthError& e) {
+    EXPECT_EQ(e.num_nodes(), 40000);
+    EXPECT_EQ(e.max_label(), 32767);
+  }
+  EXPECT_THROW(Engine(-1), std::invalid_argument);
+  // The widest representable shape serves.
+  Narrow ok(32768);
+  EdgeList<std::int16_t> edges;
+  edges.push_back({0, 32767});
+  ok.apply_inserts(edges);
+  ok.publish();
+  EXPECT_TRUE(ok.connected(0, 32767));
+  EXPECT_EQ(ok.component_count(), 32767);
+}
+
 TEST(DynamicProperty, BoundsValidationThrowsTypedError) {
   Engine engine(4);
   EdgeList<NodeID> bad;

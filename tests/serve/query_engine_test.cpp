@@ -159,6 +159,33 @@ TEST(QueryEngine, BoundsErrorsAreTyped) {
   }
 }
 
+TEST(QueryEngine, NarrowLabelTypeThrowsTypedOverflow) {
+  // int16 labels cap at 32767 ids: 40000 vertices used to construct and
+  // then crash in the first publish, whose wrapped labels indexed `sizes`.
+  using Narrow = serve::QueryEngine<std::int16_t>;
+  try {
+    const Narrow engine(40000);
+    FAIL() << "expected LabelWidthError";
+  } catch (const LabelWidthError& e) {
+    EXPECT_EQ(e.num_nodes(), 40000);
+    EXPECT_EQ(e.max_label(), 32767);
+  }
+  // The widest representable shape serves.
+  Narrow ok(32768);
+  EdgeList<std::int16_t> edges;
+  edges.push_back({0, 32767});
+  ok.apply_batch(edges);
+  ok.publish();
+  EXPECT_TRUE(ok.connected(0, 32767));
+  EXPECT_EQ(ok.component_size(32767), 2);
+  EXPECT_EQ(ok.component_count(), 32767);
+}
+
+TEST(QueryEngine, NegativeSizeThrowsInvalidArgument) {
+  // Used to surface as an untyped std::bad_alloc from the label array.
+  EXPECT_THROW(Engine(-1), std::invalid_argument);
+}
+
 TEST(QueryEngine, ViewPinsAnImmutableSnapshot) {
   Engine engine(4);
   const auto view = engine.acquire();  // pins epoch 1

@@ -56,6 +56,14 @@ TEST(SnapshotStoreTest, StaleEpochFloorIsANoOp) {
   EXPECT_EQ(store.epoch(), 4u);
 }
 
+TEST(SnapshotStoreTest, RejectsSizesTheLabelTypeCannotHold) {
+  EXPECT_THROW(SnapshotStore<std::int16_t>(40000), LabelWidthError);
+  EXPECT_THROW(SnapshotStore<NodeID>(-1), std::invalid_argument);
+  const SnapshotStore<std::int16_t> ok(32768);
+  EXPECT_EQ(ok.num_nodes(), 32768);
+  EXPECT_EQ(ok.acquire().component_count(), 32768);
+}
+
 TEST(SnapshotStoreTest, ViewPinsItsEpochAcrossOnePublish) {
   SnapshotStore<NodeID> store(4);
   const auto view = store.acquire();
