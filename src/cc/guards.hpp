@@ -25,17 +25,20 @@
 
 namespace afforest {
 
-/// Thrown when an iterative CC kernel exceeds its iteration ceiling.
+/// Thrown when an iterative CC kernel, or another guarded loop, exceeds its
+/// ceiling; the message names the knob that sets it.
 class ConvergenceError : public std::runtime_error {
  public:
   ConvergenceError(const std::string& algorithm, std::int64_t iterations,
-                   std::int64_t ceiling)
+                   std::int64_t ceiling,
+                   const std::string& knob = "AFFOREST_MAX_ITER",
+                   const std::string& detail = "")
       : std::runtime_error(algorithm + ": no convergence after " +
                            std::to_string(iterations) +
                            " iterations (ceiling " +
                            std::to_string(ceiling) +
-                           "; raise AFFOREST_MAX_ITER or suspect a "
-                           "livelock)"),
+                           (detail.empty() ? "" : "; " + detail) +
+                           "; raise " + knob + " or suspect a livelock)"),
         algorithm_(algorithm),
         iterations_(iterations),
         ceiling_(ceiling) {}
@@ -64,12 +67,16 @@ inline std::int64_t iteration_ceiling(std::int64_t num_nodes) {
 }
 
 /// Call at the top of each fixpoint iteration, after incrementing the
-/// iteration counter: throws once the loop runs past its ceiling.
-inline void check_convergence_guard(const char* algorithm,
-                                    std::int64_t iterations,
-                                    std::int64_t ceiling) {
+/// iteration counter: throws once the loop runs past its ceiling.  A loop
+/// bounded by another knob than AFFOREST_MAX_ITER names it, and may pass
+/// `detail`, called only on the throw, to say what held the loop.
+template <typename Detail = std::string (*)()>
+void check_convergence_guard(const char* algorithm, std::int64_t iterations,
+                             std::int64_t ceiling,
+                             const char* knob = "AFFOREST_MAX_ITER",
+                             Detail detail = [] { return std::string(); }) {
   if (iterations > ceiling)
-    throw ConvergenceError(algorithm, iterations, ceiling);
+    throw ConvergenceError(algorithm, iterations, ceiling, knob, detail());
 }
 
 }  // namespace afforest

@@ -77,16 +77,19 @@ struct RecoveryStats {
 };
 
 template <typename NodeID_ = std::int32_t>
-class DurableEngine {
+class DurableEngine : private DynamicCC<NodeID_> {
+  using Engine = DynamicCC<NodeID_>;
+
  public:
-  using View = typename DynamicCC<NodeID_>::View;
+  using View = typename Engine::View;
 
   DurableEngine(std::int64_t num_nodes, DurableOptions opts)
-      : opts_(std::move(opts)), engine_(num_nodes) {
+      : Engine(num_nodes), opts_(std::move(opts)) {
     if (opts_.dir.empty())
       throw std::invalid_argument("DurableEngine: empty durable directory");
     if (opts_.window > 0)
-      stream_.emplace(engine_, static_cast<std::size_t>(opts_.window));
+      stream_.emplace(static_cast<Engine&>(*this),
+                      static_cast<std::size_t>(opts_.window));
     ensure_dir(opts_.dir);
     if (path_exists(manifest_path(opts_.dir)))
       recover();
@@ -94,30 +97,18 @@ class DurableEngine {
       bootstrap();
   }
 
-  // ---- read plane (delegates to DynamicCC's wait-free protocol) ----------
+  // ---- read plane (DynamicCC's wait-free protocol) -----------------------
 
-  [[nodiscard]] std::int64_t num_nodes() const { return engine_.num_nodes(); }
-  [[nodiscard]] View acquire() const { return engine_.acquire(); }
-  [[nodiscard]] std::uint64_t epoch() const { return engine_.epoch(); }
-  [[nodiscard]] bool connected(NodeID_ u, NodeID_ v) const {
-    return engine_.connected(u, v);
-  }
-  [[nodiscard]] NodeID_ component_of(NodeID_ u) const {
-    return engine_.component_of(u);
-  }
-  [[nodiscard]] std::int64_t component_size(NodeID_ u) const {
-    return engine_.component_size(u);
-  }
-  [[nodiscard]] std::int64_t component_count() const {
-    return engine_.component_count();
-  }
-  void answer(QueryBatch<NodeID_>& batch) const { engine_.answer(batch); }
-  [[nodiscard]] ComponentLabels<NodeID_> live_labels() const {
-    return engine_.live_labels();
-  }
-  [[nodiscard]] ComponentLabels<NodeID_> published_labels() const {
-    return engine_.published_labels();
-  }
+  using Engine::acquire;
+  using Engine::answer;
+  using Engine::component_count;
+  using Engine::component_of;
+  using Engine::component_size;
+  using Engine::connected;
+  using Engine::epoch;
+  using Engine::labels;
+  using Engine::live_labels;
+  using Engine::num_nodes;
 
   // ---- durability introspection ------------------------------------------
 
@@ -163,16 +154,16 @@ class DurableEngine {
     const std::uint64_t seq = wal_->last_seq();
     CheckpointData data;
     data.seq = seq;
-    data.epoch = engine_.epoch();
-    data.num_nodes = static_cast<std::uint64_t>(engine_.num_nodes());
+    data.epoch = epoch();
+    data.num_nodes = static_cast<std::uint64_t>(num_nodes());
     data.window = opts_.window;
-    const ComponentLabels<NodeID_> labels = engine_.live_labels();
+    const ComponentLabels<NodeID_> labels = live_labels();
     data.labels.reserve(labels.size());
     for (std::size_t v = 0; v < labels.size(); ++v)
       data.labels.push_back(static_cast<std::int64_t>(labels[v]));
-    for (const auto& [u, v] : engine_.forest_snapshot())
+    for (const auto& [u, v] : Engine::forest_snapshot())
       data.forest_edges.emplace_back(u, v);
-    for (const auto& entry : engine_.adjacency_snapshot())
+    for (const auto& entry : Engine::adjacency_snapshot())
       data.adjacency.push_back({entry.u, entry.v, entry.copies});
     if (stream_.has_value()) {
       for (const EdgeList<NodeID_>& batch : stream_->resident()) {
@@ -228,14 +219,14 @@ class DurableEngine {
   void mutate(WalRecordType type, const EdgeList<NodeID_>& batch) {
     require_healthy();
     for (const auto& [u, v] : batch) {
-      check_vertex_range("DurableEngine", u, engine_.num_nodes());
-      check_vertex_range("DurableEngine", v, engine_.num_nodes());
+      check_vertex_range("DurableEngine", u, num_nodes());
+      check_vertex_range("DurableEngine", v, num_nodes());
     }
     poisoned_ = true;
     WalRecord record;
     record.type = type;
     record.seq = wal_->last_seq() + 1;
-    record.epoch = engine_.epoch();
+    record.epoch = epoch();
     record.edges.reserve(batch.size());
     for (const auto& [u, v] : batch)
       record.edges.emplace_back(static_cast<std::int64_t>(u),
@@ -258,13 +249,13 @@ class DurableEngine {
         if (stream_.has_value()) {
           stream_->push(batch.clone());  // the ring keeps its own copy
         } else {
-          engine_.apply_inserts(batch);
-          engine_.publish();
+          Engine::apply_inserts(batch);
+          Engine::publish();
         }
         return;
       case WalRecordType::kDelete:
-        engine_.apply_deletes(batch);
-        engine_.publish();
+        Engine::apply_deletes(batch);
+        Engine::publish();
         return;
       case WalRecordType::kTick:
         stream_->expire_oldest();
@@ -280,7 +271,7 @@ class DurableEngine {
     const std::string wal_path = opts_.dir + "/" + wal_name;
     remove_file(wal_path);
     WalHeader header;
-    header.num_nodes = static_cast<std::uint64_t>(engine_.num_nodes());
+    header.num_nodes = static_cast<std::uint64_t>(num_nodes());
     header.window = opts_.window;
     header.start_seq = 1;
     wal_.emplace(WalWriter::create(wal_path, header, opts_.sync));
@@ -291,19 +282,19 @@ class DurableEngine {
     manifest.seq = 0;
     write_manifest(opts_.dir, manifest);
     manifest_ = manifest;
-    engine_.publish();
+    Engine::publish();
   }
 
   void recover() {
     manifest_ = read_manifest(opts_.dir);
     const std::string manifest_file = manifest_path(opts_.dir);
     if (manifest_.num_nodes !=
-        static_cast<std::uint64_t>(engine_.num_nodes()))
+        static_cast<std::uint64_t>(num_nodes()))
       throw IoError(IoErrorKind::kCorruptHeader, manifest_file,
                     "manifest num_nodes " +
                         std::to_string(manifest_.num_nodes) +
                         " != engine num_nodes " +
-                        std::to_string(engine_.num_nodes()));
+                        std::to_string(num_nodes()));
     if (manifest_.window != opts_.window)
       throw IoError(IoErrorKind::kCorruptHeader, manifest_file,
                     "manifest window " + std::to_string(manifest_.window) +
@@ -320,7 +311,7 @@ class DurableEngine {
       const telemetry::ScopedPhase phase("recover.replay");
       replay_wal(opts_.dir + "/" + manifest_.wal_file);
     }
-    engine_.publish();
+    Engine::publish();
     recovery_.last_seq = wal_->last_seq();
     records_since_checkpoint_ = wal_->last_seq() - manifest_.seq;
     gc_unreferenced();
@@ -328,7 +319,7 @@ class DurableEngine {
 
   void load_checkpoint(const std::string& path) {
     const CheckpointData data = read_checkpoint(path);
-    if (data.num_nodes != static_cast<std::uint64_t>(engine_.num_nodes()) ||
+    if (data.num_nodes != static_cast<std::uint64_t>(num_nodes()) ||
         data.window != opts_.window || data.seq != manifest_.seq)
       throw IoError(IoErrorKind::kCorruptHeader, path,
                     "checkpoint identity (num_nodes/window/seq) disagrees "
@@ -348,7 +339,7 @@ class DurableEngine {
                            static_cast<NodeID_>(entry.v),
                            entry.multiplicity});
     try {
-      engine_.restore_state(labels, forest, adjacency);
+      Engine::restore_state(labels, forest, adjacency);
     } catch (const std::invalid_argument& e) {
       // CRC-valid but semantically inconsistent state: typed rejection,
       // never a silently wrong engine.
@@ -376,14 +367,14 @@ class DurableEngine {
     }
     recovery_.checkpoint_seq = data.seq;
     recovery_.checkpoint_epoch = data.epoch;
-    engine_.set_epoch_floor(data.epoch);
+    Engine::set_epoch_floor(data.epoch);
   }
 
   void replay_wal(const std::string& path) {
     WalScan scan;
     wal_.emplace(WalWriter::open_for_append(path, opts_.sync, &scan));
     if (scan.header.num_nodes !=
-            static_cast<std::uint64_t>(engine_.num_nodes()) ||
+            static_cast<std::uint64_t>(num_nodes()) ||
         scan.header.window != opts_.window ||
         scan.header.start_seq != manifest_.seq + 1)
       throw IoError(IoErrorKind::kCorruptHeader, path,
@@ -396,18 +387,18 @@ class DurableEngine {
     std::uint64_t epoch_floor = recovery_.checkpoint_epoch;
     for (const WalRecord& record : scan.records)
       if (record.epoch > epoch_floor) epoch_floor = record.epoch;
-    engine_.set_epoch_floor(epoch_floor);
+    Engine::set_epoch_floor(epoch_floor);
     for (const WalRecord& record : scan.records) {
       failpoint_maybe_fail("recover.replay");
       EdgeList<NodeID_> batch;
       batch.reserve(record.edges.size());
       for (const auto& [u, v] : record.edges) {
-        if (u < 0 || u >= engine_.num_nodes() || v < 0 ||
-            v >= engine_.num_nodes())
+        if (u < 0 || u >= num_nodes() || v < 0 ||
+            v >= num_nodes())
           throw IoError(IoErrorKind::kOutOfRangeNeighbor, path,
                         "WAL record " + std::to_string(record.seq) +
                             " endpoint outside [0, " +
-                            std::to_string(engine_.num_nodes()) + ")");
+                            std::to_string(num_nodes()) + ")");
         batch.push_back({static_cast<NodeID_>(u), static_cast<NodeID_>(v)});
       }
       if (record.type == WalRecordType::kTick && !stream_.has_value())
@@ -436,7 +427,6 @@ class DurableEngine {
   }
 
   DurableOptions opts_;
-  DynamicCC<NodeID_> engine_;
   std::optional<WindowedStream<NodeID_>> stream_;
   std::optional<WalWriter> wal_;
   Manifest manifest_;

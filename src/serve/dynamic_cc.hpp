@@ -57,7 +57,6 @@
 #include "cc/spanning_forest.hpp"
 #include "graph/builder.hpp"
 #include "graph/edge_list.hpp"
-#include "serve/query_batch.hpp"
 #include "serve/snapshot_store.hpp"
 #include "serve/writer_lock.hpp"
 #include "util/pvector.hpp"
@@ -100,22 +99,19 @@ struct DeleteStats {
 std::string delete_stats_summary(const DeleteStats& stats);
 
 template <typename NodeID_ = std::int32_t>
-class DynamicCC {
+class DynamicCC : private SnapshotStore<NodeID_> {
+  using Store = SnapshotStore<NodeID_>;
+
  public:
-  using View = typename SnapshotStore<NodeID_>::View;
+  using View = typename Store::View;
 
   /// Throws LabelWidthError when NodeID_ cannot label num_nodes vertices
   /// and std::invalid_argument for a negative count, before allocating.
   explicit DynamicCC(std::int64_t num_nodes)
-      : adj_(static_cast<std::size_t>(
-            check_label_width<NodeID_>("DynamicCC", num_nodes))),
+      : Store(num_nodes, "DynamicCC"),
+        adj_(static_cast<std::size_t>(num_nodes)),
         forest_(num_nodes),
-        labels_(identity_labels<NodeID_>(num_nodes)),
-        store_(num_nodes) {}
-
-  [[nodiscard]] std::int64_t num_nodes() const {
-    return static_cast<std::int64_t>(adj_.size());
-  }
+        labels_(identity_labels<NodeID_>(num_nodes)) {}
 
   /// Distinct surviving edges (self loops included, multiplicity ignored).
   [[nodiscard]] std::int64_t num_edges() const { return distinct_edges_; }
@@ -125,54 +121,17 @@ class DynamicCC {
     return forest_.num_tree_edges();
   }
 
-  // ---- read plane (wait-free, identical protocol to QueryEngine) ---------
+  // ---- read plane (SnapshotStore's, identical to QueryEngine's) ----------
 
-  [[nodiscard]] View acquire() const { return store_.acquire(); }
-
-  [[nodiscard]] std::uint64_t epoch() const { return store_.epoch(); }
-
-  [[nodiscard]] bool connected(NodeID_ u, NodeID_ v) const {
-    check_vertex(u);
-    check_vertex(v);
-    const View view = store_.acquire();
-    telemetry::on_queries_served(1);
-    return view.connected(u, v);
-  }
-
-  [[nodiscard]] NodeID_ component_of(NodeID_ u) const {
-    check_vertex(u);
-    const View view = store_.acquire();
-    telemetry::on_queries_served(1);
-    return view.component_of(u);
-  }
-
-  [[nodiscard]] std::int64_t component_size(NodeID_ u) const {
-    check_vertex(u);
-    const View view = store_.acquire();
-    telemetry::on_queries_served(1);
-    return view.component_size(u);
-  }
-
-  [[nodiscard]] std::int64_t component_count() const {
-    return store_.acquire().component_count();
-  }
-
-  /// Answers every query against ONE snapshot (stamped into batch.epoch).
-  /// Throws VertexRangeError (before touching outputs) on any bad id.
-  void answer(QueryBatch<NodeID_>& batch) const {
-    const std::int64_t count = static_cast<std::int64_t>(batch.count());
-    for (std::int64_t i = 0; i < count; ++i) {
-      check_vertex(batch.u[i]);
-      check_vertex(batch.v[i]);
-    }
-    store_.answer(batch);
-  }
-
-  /// Snapshot of the published labels (deep copy; for verification).
-  [[nodiscard]] ComponentLabels<NodeID_> published_labels() const {
-    const View view = store_.acquire();
-    return view.labels().clone();
-  }
+  using Store::acquire;
+  using Store::answer;
+  using Store::component_count;
+  using Store::component_of;
+  using Store::component_size;
+  using Store::connected;
+  using Store::epoch;
+  using Store::labels;
+  using Store::num_nodes;
 
   /// The writer's current (unpublished) labels — exact after every applied
   /// batch.  Deep copy; the differential oracle compares against this.
@@ -313,7 +272,7 @@ class DynamicCC {
   void publish() {
     const WriterLock lock(writer_active_, "DynamicCC");
     const telemetry::ScopedPhase phase("dynamic.publish");
-    store_.publish(labels_);
+    Store::publish(labels_);
   }
 
   // ---- introspection (writer-plane; used by benches and tests) -----------
@@ -381,12 +340,12 @@ class DynamicCC {
     return out;
   }
 
-  /// Raises the snapshot epoch floor (see SnapshotStore::set_epoch_floor):
+  /// Raises the snapshot epoch floor (see EpochPublisher::set_epoch_floor):
   /// the next publish() stamps an epoch strictly greater than `floor`.
-  // lint: single-writer(recovery-only: one forwarded store_ call made by
-  // the recovering writer before any reader can hold a snapshot; the
-  // epoch floor is writer-plane state inside SnapshotStore)
-  void set_epoch_floor(std::uint64_t floor) { store_.set_epoch_floor(floor); }
+  // lint: single-writer(recovery-only: one forwarded SnapshotStore call
+  // made by the recovering writer before any reader can hold a snapshot;
+  // the epoch floor is writer-plane state inside EpochPublisher)
+  void set_epoch_floor(std::uint64_t floor) { Store::set_epoch_floor(floor); }
 
   /// Replaces the writer state wholesale from checkpointed pieces.  The
   /// published snapshot is untouched until the caller publish()es.
@@ -471,9 +430,7 @@ class DynamicCC {
   }
 
  private:
-  void check_vertex(NodeID_ v) const {
-    check_vertex_range("DynamicCC", v, num_nodes());
-  }
+  using Store::check_vertex;
 
   /// Find with path compression over the batch-local label forest; labels
   /// absent from the map are their own root.
@@ -552,7 +509,6 @@ class DynamicCC {
   std::vector<std::unordered_map<NodeID_, std::uint32_t>> adj_;
   ForestAdjacency<NodeID_> forest_;
   ComponentLabels<NodeID_> labels_;  ///< exact, fully compressed, writer-owned
-  SnapshotStore<NodeID_> store_;
   std::int64_t distinct_edges_ = 0;
   bool testing_certify_all_free_ = false;
   mutable std::atomic<bool> writer_active_{false};

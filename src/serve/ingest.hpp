@@ -326,7 +326,8 @@ class IngestPipeline {
       // Block policy: convergence-guarded spin.  A consumer that died
       // surfaces as a typed ConvergenceError once the ceiling is hit
       // (AFFOREST_SERVE_SPIN_CEILING) instead of a silent hang.
-      check_convergence_guard("ingest.enqueue.block", ++spins, ceiling);
+      check_convergence_guard("ingest.enqueue.block", ++spins, ceiling,
+                              kServeSpinKnob);
       std::this_thread::yield();
     }
   }

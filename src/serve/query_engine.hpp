@@ -12,10 +12,11 @@
 //     an immutable, epoch-versioned snapshot label array.
 //
 // The snapshot machinery (RCU double buffering, reader refcount grace
-// periods, epoch stamping) lives in serve/snapshot_store.hpp — it is shared
-// with the decremental engine (serve/dynamic_cc.hpp), so the protocol has
-// exactly one implementation.  This class owns the add-only write plane:
-// the live parent forest written via link() and compacted on publish.
+// periods, epoch stamping) and the range-checked read plane live in
+// serve/snapshot_store.hpp — shared with the decremental engine
+// (serve/dynamic_cc.hpp), so each has exactly one implementation.  This
+// class inherits the read plane and owns the add-only write plane: the
+// live parent forest written via link() and compacted on publish.
 //
 // Consistency guarantees (tested in tests/serve/linearizability_test.cpp,
 // documented in docs/SERVING.md):
@@ -36,15 +37,13 @@
 // lint-scope: cc
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #include "analysis/telemetry.hpp"
 #include "cc/afforest.hpp"
 #include "cc/common.hpp"
 #include "graph/edge_list.hpp"
-#include "serve/query_batch.hpp"
 #include "serve/snapshot_store.hpp"
 #include "serve/writer_lock.hpp"
 #include "util/failpoint.hpp"
@@ -53,69 +52,29 @@
 namespace afforest::serve {
 
 template <typename NodeID_ = std::int32_t>
-class QueryEngine {
+class QueryEngine : private SnapshotStore<NodeID_> {
+  using Store = SnapshotStore<NodeID_>;
+
  public:
-  using View = typename SnapshotStore<NodeID_>::View;
+  using View = typename Store::View;
 
   /// Throws LabelWidthError when NodeID_ cannot label num_nodes vertices
   /// and std::invalid_argument for a negative count, before allocating.
   explicit QueryEngine(std::int64_t num_nodes)
-      : live_(identity_labels<NodeID_>(
-            check_label_width<NodeID_>("QueryEngine", num_nodes))),
-        store_(num_nodes) {}
+      : Store(num_nodes, "QueryEngine"),
+        live_(identity_labels<NodeID_>(num_nodes)) {}
 
-  [[nodiscard]] std::int64_t num_nodes() const {
-    return static_cast<std::int64_t>(live_.size());
-  }
+  // ---- read plane (SnapshotStore's, range-checked against num_nodes) -----
 
-  /// Epoch of the currently published snapshot (starts at 1; each
-  /// publish() increments it).  Monotone non-decreasing across calls.
-  [[nodiscard]] std::uint64_t epoch() const { return store_.epoch(); }
-
-  // ---- read plane ---------------------------------------------------------
-
-  /// Pins the current snapshot.  Concurrency-safe; any number of readers.
-  [[nodiscard]] View acquire() const { return store_.acquire(); }
-
-  /// Single-query conveniences; each pins the snapshot for one call.
-  /// All of them throw VertexRangeError on an id outside [0, num_nodes()).
-  [[nodiscard]] bool connected(NodeID_ u, NodeID_ v) const {
-    check_vertex(u);
-    check_vertex(v);
-    const View view = store_.acquire();
-    telemetry::on_queries_served(1);
-    return view.connected(u, v);
-  }
-
-  [[nodiscard]] NodeID_ component_of(NodeID_ u) const {
-    check_vertex(u);
-    const View view = store_.acquire();
-    telemetry::on_queries_served(1);
-    return view.component_of(u);
-  }
-
-  [[nodiscard]] std::int64_t component_size(NodeID_ u) const {
-    check_vertex(u);
-    const View view = store_.acquire();
-    telemetry::on_queries_served(1);
-    return view.component_size(u);
-  }
-
-  [[nodiscard]] std::int64_t component_count() const {
-    return store_.acquire().component_count();
-  }
-
-  /// Answers every query in the batch against ONE snapshot (stamped into
-  /// batch.epoch) with an OpenMP-parallel sweep over the SoA columns.
-  /// Throws VertexRangeError (before touching outputs) on any bad id.
-  void answer(QueryBatch<NodeID_>& batch) const {
-    const std::int64_t count = static_cast<std::int64_t>(batch.count());
-    for (std::int64_t i = 0; i < count; ++i) {
-      check_vertex(batch.u[i]);
-      check_vertex(batch.v[i]);
-    }
-    store_.answer(batch);
-  }
+  using Store::acquire;
+  using Store::answer;
+  using Store::component_count;
+  using Store::component_of;
+  using Store::component_size;
+  using Store::connected;
+  using Store::epoch;
+  using Store::labels;
+  using Store::num_nodes;
 
   // ---- write plane (single writer) ---------------------------------------
 
@@ -156,7 +115,7 @@ class QueryEngine {
       // (it is shared with the concurrent offline kernels).
       compress_all(live_);
     }
-    store_.publish(live_);
+    Store::publish(live_);
   }
 
   /// Convenience: apply a batch and immediately publish the result.
@@ -165,19 +124,10 @@ class QueryEngine {
     publish();
   }
 
-  /// Snapshot of the published labels (deep copy; for verification).
-  [[nodiscard]] ComponentLabels<NodeID_> labels() const {
-    const View view = store_.acquire();
-    return view.labels().clone();
-  }
-
  private:
-  void check_vertex(NodeID_ v) const {
-    check_vertex_range("QueryEngine", v, num_nodes());
-  }
+  using Store::check_vertex;
 
   ComponentLabels<NodeID_> live_;  ///< parent forest, written via link()
-  SnapshotStore<NodeID_> store_;
   mutable std::atomic<bool> writer_active_{false};
 };
 

@@ -45,8 +45,8 @@
 //
 // Grace-period ordering (the subtle part): the stale global buffer pins
 // shard views from epoch e−1 — exactly the shard buffers the shard
-// stores want to overwrite next.  publish() therefore FIRST drains and
-// destroys the stale global payload (EpochPublisher::begin_publish),
+// stores want to overwrite next.  publish() therefore FIRST drains the
+// stale global cell (EpochPublisher::begin_publish) and resets it,
 // releasing those pins, and only then runs the per-shard publishes.  The
 // reverse order would self-deadlock in the shard stores' drain loops.
 //
@@ -327,8 +327,10 @@ class ShardedEngine {
     const bool shards_ahead =
         !first && shards_.front()->epoch() == publisher_.epoch() + 1;
     // Step 0 — release epoch e−1's pins BEFORE shard publishes (see the
-    // grace-period ordering note in the header comment).
+    // grace-period ordering note in the header comment): begin_publish
+    // hands the drained cell back as it was, views and all.
     GlobalSnapshot* next = publisher_.begin_publish();
+    *next = GlobalSnapshot{};
 
     if (staging_.empty())
       staging_.resize(static_cast<std::size_t>(num_shards_));

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "../support/scoped_env.hpp"
 #include "cc/label_propagation.hpp"
@@ -82,6 +83,10 @@ TEST_F(ForcedCeilingTest, ShiloachVishkinThrows) {
     EXPECT_EQ(e.algorithm(), "shiloach_vishkin");
     EXPECT_EQ(e.iterations(), 2);
     EXPECT_EQ(e.ceiling(), 1);
+    // Kernel guards name the kernel knob.
+    EXPECT_NE(std::string(e.what()).find("raise AFFOREST_MAX_ITER"),
+              std::string::npos)
+        << e.what();
   }
 }
 

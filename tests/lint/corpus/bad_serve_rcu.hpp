@@ -1,5 +1,5 @@
 // Fixture: rule S2 (afforest-serve-rcu-publication), bad half.
-// Roll-your-own RCU: an atomic published pointer outside SnapshotStore,
+// Roll-your-own RCU: an atomic published pointer outside EpochPublisher,
 // direct access to a published-snapshot field, and an in-place store into
 // published snapshot labels all flag.
 // lint-scope: serve

@@ -1,6 +1,7 @@
 // Fixture: rule S2 (afforest-serve-rcu-publication), good half.
 // Reader-visible state changes only by mutating the writer-side copy and
-// republishing through SnapshotStore; readers acquire immutable views.
+// republishing through EpochPublisher (here via a store built on it);
+// readers acquire immutable views.
 // Must lint clean.
 // lint-scope: serve
 #pragma once

@@ -172,7 +172,7 @@ TEST(DynamicDifferential, PublishedSnapshotsTrackLiveLabels) {
     engine.apply_deletes(batch);  // tear the same batch straight back down
     engine.publish();
     const auto live = engine.live_labels();
-    const auto published = engine.published_labels();
+    const auto published = engine.labels();
     ASSERT_EQ(live.size(), published.size());
     for (std::size_t v = 0; v < live.size(); ++v)
       ASSERT_EQ(live[v], published[v]);

@@ -185,7 +185,7 @@ TEST(DynamicProperty, FullWindowExpiryDrainsToEmptyGraph) {
   EXPECT_EQ(engine.num_edges(), 0);
   EXPECT_EQ(engine.num_tree_edges(), 0);
   EXPECT_EQ(engine.component_count(), n);
-  const auto labels = engine.published_labels();
+  const auto labels = engine.labels();
   for (std::int64_t v = 0; v < n; ++v)
     EXPECT_EQ(labels[static_cast<std::size_t>(v)], static_cast<NodeID>(v));
 }
@@ -213,7 +213,7 @@ TEST(DynamicProperty, WindowMatchesOracleOverResidentBatches) {
     for (const auto& b : resident)
       for (const auto& e : b) window_edges.push_back(e);
     const auto oracle = union_find_cc(window_edges, n);
-    const auto published = engine.published_labels();
+    const auto published = engine.labels();
     for (std::int64_t v = 0; v < n; ++v)
       ASSERT_EQ(published[static_cast<std::size_t>(v)],
                 oracle[static_cast<std::size_t>(v)])

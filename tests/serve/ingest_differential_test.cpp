@@ -54,14 +54,6 @@ void direct_apply(Engine& engine, const EdgeList<NodeID>& batch) {
   }
 }
 
-template <typename Engine>
-ComponentLabels<NodeID> final_labels(const Engine& engine) {
-  if constexpr (requires { engine.labels(); })
-    return engine.labels();
-  else
-    return engine.published_labels();
-}
-
 /// Replays `in.edges` in kBatch-sized slices: reference engine by direct
 /// apply, subject engine through the fully-compacted pipeline (round-robin
 /// across queues, one pump per slice).  Returns true iff final labels are
@@ -88,8 +80,8 @@ bool labels_match(Engine& ref, Engine& subject, const fuzz::FuzzInput& in,
   }
   flush();
 
-  const ComponentLabels<NodeID> want = final_labels(ref);
-  const ComponentLabels<NodeID> got = final_labels(subject);
+  const ComponentLabels<NodeID> want = ref.labels();
+  const ComponentLabels<NodeID> got = subject.labels();
   if (want.size() != got.size()) return false;
   for (std::size_t i = 0; i < want.size(); ++i)
     if (want[i] != got[i]) return false;

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -196,8 +197,20 @@ TEST(IngestBackpressureTest, BlockIsConvergenceGuardedWhenConsumerIsDead) {
   const ScopedEnv ceiling("AFFOREST_SERVE_SPIN_CEILING", "2000");
   pipe.enqueue_to(0, {1, 2});
   // No consumer is running: the blocked producer must surface the typed
-  // guard error at the spin ceiling instead of hanging forever.
-  EXPECT_THROW(pipe.enqueue_to(0, {3, 4}), ConvergenceError);
+  // guard error at the spin ceiling instead of hanging forever, naming the
+  // knob that bounds it.
+  try {
+    pipe.enqueue_to(0, {3, 4});
+    FAIL() << "expected ConvergenceError";
+  } catch (const ConvergenceError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(e.algorithm(), "ingest.enqueue.block");
+    EXPECT_EQ(e.ceiling(), 2000);
+    EXPECT_NE(what.find("raise AFFOREST_SERVE_SPIN_CEILING"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("AFFOREST_MAX_ITER"), std::string::npos) << what;
+  }
   EXPECT_EQ(pipe.pump(), 1u);  // the accepted edge is intact
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/telemetry.hpp"
 #include "cc/guards.hpp"
@@ -207,7 +208,20 @@ TEST(QueryEngine, LeakedViewSurfacesAsConvergenceError) {
   Engine engine(4);
   const auto view = engine.acquire();  // pins buffer A (epoch 1)
   engine.publish();                    // writes buffer B -> epoch 2
-  EXPECT_THROW(engine.publish(), ConvergenceError);  // needs buffer A back
+  try {
+    engine.publish();  // needs buffer A back
+    FAIL() << "expected ConvergenceError";
+  } catch (const ConvergenceError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("serve.publish.drain"), std::string::npos) << what;
+    EXPECT_NE(what.find("stale epoch 1 still pinned by 1 reader(s)"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("raise AFFOREST_SERVE_SPIN_CEILING"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(engine.epoch(), 2u);  // the failed publish turned nothing
 }
 
 TEST(QueryEngine, FailpointsLeaveEngineServiceable) {

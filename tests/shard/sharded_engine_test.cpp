@@ -1,13 +1,17 @@
 // Unit tests for the sharded serving tier: routing, epoch/staleness
 // semantics, quotient composition, label-width and vertex-id guards,
-// failpoint recovery, router/partition agreement, and telemetry wiring.
+// failpoint recovery, atom pin release across publishes, router/partition
+// agreement, and telemetry wiring.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/telemetry.hpp"
 #include "cc/common.hpp"
+#include "cc/guards.hpp"
 #include "dist/partitioned_cc.hpp"
 #include "serve/query_batch.hpp"
 #include "shard/sharded_engine.hpp"
@@ -188,6 +192,60 @@ TEST(ShardedEngine, FailpointLeavesEngineServiceable) {
   failpoints_reload();
   engine.publish();  // recovers; the batch finally becomes visible
   EXPECT_TRUE(engine.connected(0, 7));
+}
+
+TEST(ShardedEngine, LeakedGlobalRefSurfacesAsConvergenceError) {
+  // A GlobalRef held across two publishes pins the atom cell the second
+  // publish must reuse; its drain reports the leak as a typed error, and
+  // the engine publishes normally once the ref is released.
+  const ScopedEnv ceiling("AFFOREST_SERVE_SPIN_CEILING", "512");
+  Engine engine(8, 2);
+  std::optional<Engine::GlobalRef> leaked(engine.acquire());  // epoch 1
+  engine.apply_and_publish(path_edges(8));  // epoch 2, the other cell
+  try {
+    engine.publish();
+    FAIL() << "expected ConvergenceError";
+  } catch (const ConvergenceError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(e.algorithm(), "serve.publish.drain");
+    EXPECT_NE(what.find("stale epoch 1 still pinned by 1 reader(s)"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("AFFOREST_SERVE_SPIN_CEILING"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(engine.epoch(), 2u);  // still serving, not wedged
+  EXPECT_TRUE(engine.connected(0, 7));
+  leaked.reset();
+  EdgeList<NodeID> more;
+  more.push_back({7, 0});
+  engine.apply_and_publish(more);
+  engine.publish();
+  EXPECT_EQ(engine.epoch(), 4u);
+  EXPECT_TRUE(engine.connected(0, 7));
+  for (const std::uint64_t e : Engine::shard_epochs(engine.acquire()))
+    EXPECT_EQ(e, 4u);
+}
+
+TEST(ShardedEngine, RepeatedPublishesReleaseTheStaleAtomsShardPins) {
+  // Every publish reuses the atom cell from two epochs back, which still
+  // pins that epoch's shard snapshots until rebuild_global resets it.  A
+  // missed reset leaves the shard stores draining on those pins forever;
+  // the small ceiling turns that into a fast ConvergenceError instead of
+  // a 2^30-yield spin per drain.
+  const ScopedEnv ceiling("AFFOREST_SERVE_SPIN_CEILING", "4096");
+  Engine engine(16, 4);
+  for (NodeID round = 0; round < 4; ++round) {
+    EdgeList<NodeID> edges;
+    edges.push_back({round, static_cast<NodeID>(round + 8)});
+    ASSERT_NO_THROW(engine.apply_and_publish(edges)) << "round " << round;
+    const auto ref = engine.acquire();
+    EXPECT_EQ(ref.epoch(), static_cast<std::uint64_t>(round) + 2);
+    for (const std::uint64_t e : Engine::shard_epochs(ref))
+      EXPECT_EQ(e, ref.epoch());
+  }
+  for (NodeID v = 0; v < 4; ++v) EXPECT_TRUE(engine.connected(v, v + 8));
+  EXPECT_EQ(engine.component_count(), 12);
 }
 
 TEST(ShardedEngine, LabelsMatchMinIdConvention) {

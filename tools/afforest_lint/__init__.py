@@ -26,7 +26,7 @@ files marked `// lint-scope: serve`):
                                          waiver; const readers must not
                                          touch `writer-only` members
   S2  afforest-serve-rcu-publication     snapshot publication only through
-                                         SnapshotStore (no ad-hoc atomic
+                                         EpochPublisher (no ad-hoc atomic
                                          pointers or label stores)
   S3  afforest-serve-durability-order    write -> fsync -> rename ->
                                          dir-fsync; journal-then-apply;

@@ -17,7 +17,7 @@ RAW_GETENV = "afforest-raw-getenv"
 WAIVER_MISSING_REASON = "afforest-waiver-missing-reason"
 # S1: single-writer discipline for the serving-tier engine classes.
 SERVE_WRITER_DISCIPLINE = "afforest-serve-writer-discipline"
-# S2: reader-visible state may only be published through SnapshotStore.
+# S2: reader-visible state may only be published through EpochPublisher.
 SERVE_RCU_PUBLICATION = "afforest-serve-rcu-publication"
 # S3: intra-function ordering over the WAL/checkpoint/manifest chain.
 SERVE_DURABILITY_ORDER = "afforest-serve-durability-order"
@@ -82,7 +82,7 @@ DESCRIPTIONS = {
     ),
     SERVE_RCU_PUBLICATION: (
         "reader-visible label/forest state may only be published through "
-        "the SnapshotStore swap; no roll-your-own std::atomic<T*> "
+        "the EpochPublisher swap; no roll-your-own std::atomic<T*> "
         "publication or direct stores to published-snapshot fields"
     ),
     SERVE_DURABILITY_ORDER: (

@@ -14,9 +14,10 @@ to hit it.  These rules make the disciplines mechanically checkable:
       `writer-only` in a trailing comment.
   S2 afforest-serve-rcu-publication
       Reader-visible label/forest state is published only through the
-      SnapshotStore swap: no roll-your-own std::atomic<T*> published
-      pointers and no direct stores into published snapshot labels
-      outside snapshot_store.hpp.
+      EpochPublisher swap (SnapshotStore and ShardedEngine both publish
+      through it): no roll-your-own std::atomic<T*> published pointers
+      and no direct stores into published snapshot labels outside
+      snapshot_store.hpp.
   S3 afforest-serve-durability-order
       Intra-function ordering dataflow over the posix_file/wal/
       checkpoint/manifest vocabulary: WAL append before apply, file
@@ -42,7 +43,8 @@ Scope: a file is serve-scope when its path contains src/serve/ or
 src/shard/ (the sharded coordinator obeys the same single-writer + RCU
 disciplines) or it carries a '// lint-scope: serve' marker (fixtures).
 posix_file.hpp is the wrapper layer itself and is exempt from S3/S4/S5;
-snapshot_store.hpp IS the publication mechanism and is exempt from S2.
+snapshot_store.hpp holds EpochPublisher, the one publication mechanism,
+and is exempt from S2.
 """
 
 from __future__ import annotations
@@ -331,7 +333,7 @@ def check_writer_discipline(fa, path: str) -> None:
 
 
 def check_rcu_publication(fa, path: str) -> None:
-    """S2: publication of reader-visible state only via SnapshotStore."""
+    """S2: publication of reader-visible state only via EpochPublisher."""
     if _exempt(path, "serve/snapshot_store.hpp"):
         return
     for m in _ATOMIC_PTR_RE.finditer(fa.code):
@@ -339,14 +341,14 @@ def check_rcu_publication(fa, path: str) -> None:
             m.start(),
             diag.SERVE_RCU_PUBLICATION,
             "roll-your-own std::atomic<T*> publication; reader-visible "
-            "snapshots are published only through SnapshotStore's swap",
+            "snapshots are published only through EpochPublisher's swap",
         )
     for m in _PUBLISHED_IDENT_RE.finditer(fa.code):
         fa._emit(
             m.start(),
             diag.SERVE_RCU_PUBLICATION,
             "direct access to a published-snapshot field outside "
-            "SnapshotStore; go through acquire()/publish()",
+            "EpochPublisher; go through acquire()/publish()",
         )
     for rx in (_VIEW_LABEL_STORE_RE, _VIEW_LABEL_ATOMIC_RE):
         for m in rx.finditer(fa.code):
@@ -355,7 +357,7 @@ def check_rcu_publication(fa, path: str) -> None:
                 diag.SERVE_RCU_PUBLICATION,
                 "store into published snapshot labels; snapshots are "
                 "immutable once published — mutate the writer-side copy "
-                "and republish through SnapshotStore",
+                "and republish through EpochPublisher",
             )
 
 
