@@ -1,8 +1,11 @@
 // Ablation studies for the design choices DESIGN.md §6 calls out:
 //   1. neighbor_rounds sweep (paper fixes 2; what do 0..8 cost?)
 //   2. compress interleaving (disable the per-round compress: tree depth
-//      blows up and the final link slows down)
-//   3. sample_frequent_element sample count vs skip accuracy
+//      blows up and the final link slows down); both rows use RootHook
+//   3. sampling strategy: neighbor rounds vs uniform edges
+//   4. sample_frequent_element sample count vs skip accuracy
+//   5. link choice: the paper's root hook (Fig 3) vs Rem splicing, the
+//      default, with and without the skip
 #include <iostream>
 
 #include "analysis/instrumented.hpp"
@@ -18,7 +21,8 @@ namespace {
 using namespace afforest;
 
 // Afforest variant with the interleaved compress removed (ablation 2):
-// neighbor rounds link without compressing between rounds.
+// neighbor rounds link without compressing between rounds.  It links
+// with link(), so row [2] pins the driver to RootHook as well.
 ComponentLabels<std::int32_t> afforest_no_interleave(const Graph& g,
                                                      std::int32_t rounds) {
   const std::int64_t n = g.num_nodes();
@@ -51,7 +55,7 @@ int main(int argc, char** argv) {
   cl.describe("graph", "suite graph (default web)");
   cl.describe("trials", "timing trials (default 5)");
   bench::JsonReporter json(cl, "ablation");
-  if (!bench::standard_preamble(cl, "Ablations: rounds, compress, sampling"))
+  if (!bench::standard_preamble(cl, "Ablations: rounds, compress, sampling, link"))
     return 0;
   const int scale = static_cast<int>(cl.get_int("scale", 15));
   const std::string graph_name = cl.get_string("graph", "web");
@@ -90,8 +94,13 @@ int main(int argc, char** argv) {
   std::cout << "\n[2] compress interleaving (tree depth after sampling)\n";
   {
     TextTable table({"variant", "median ms", "max tree depth"});
+    // One change at a time: the no-interleave copy links with link(), so
+    // the interleaved row must too, or it would time the link choice.
+    AfforestOptions interleaved;
+    interleaved.skip_largest = false;
+    interleaved.link = RootHook{};
     const auto t_with =
-        bench::time_trials([&] { afforest_no_skip(g); }, trials);
+        bench::time_trials([&] { afforest_cc(g, interleaved); }, trials);
     const auto t_without =
         bench::time_trials([&] { afforest_no_interleave(g, 2); }, trials);
     const auto depth_with = afforest_instrumented(g).max_tree_depth;
@@ -109,10 +118,10 @@ int main(int argc, char** argv) {
     table.add_row({"no interleave", TextTable::fmt(t_without.median_s * 1e3, 2),
                    TextTable::fmt_int(depth_without)});
     json.add(graph_name, "afforest-noskip",
-             {{"scale", scale}, {"trials", trials},
+             {{"scale", scale}, {"trials", trials}, {"link", "root-hook"},
               {"max_tree_depth", depth_with}}, t_with);
     json.add(graph_name, "afforest-no-interleave",
-             {{"scale", scale}, {"trials", trials},
+             {{"scale", scale}, {"trials", trials}, {"link", "root-hook"},
               {"max_tree_depth", depth_without}}, t_without);
     table.print(std::cout);
   }
@@ -165,6 +174,33 @@ int main(int argc, char** argv) {
                {{"scale", scale}, {"trials", trials},
                 {"sample_count", samples},
                 {"found_giant", sampled == exact}}, t);
+    }
+    table.print(std::cout);
+  }
+
+  std::cout << "\n[5] link choice (paper Fig 3 root hook vs Rem splicing)\n";
+  {
+    using Link = decltype(AfforestOptions::link);
+    TextTable table({"link", "median ms (skip)", "median ms (no skip)"});
+    for (const auto& [name, link] :
+         {std::pair<std::string, Link>{"root-hook", RootHook{}},
+          std::pair<std::string, Link>{"rem-splice", RemSplice{}}}) {
+      AfforestOptions with_skip;
+      with_skip.link = link;
+      AfforestOptions no_skip = with_skip;
+      no_skip.skip_largest = false;
+      const auto t1 =
+          bench::time_trials([&] { afforest_cc(g, with_skip); }, trials);
+      const auto t2 =
+          bench::time_trials([&] { afforest_cc(g, no_skip); }, trials);
+      table.add_row({name, TextTable::fmt(t1.median_s * 1e3, 2),
+                     TextTable::fmt(t2.median_s * 1e3, 2)});
+      json.add(graph_name, "afforest",
+               {{"scale", scale}, {"trials", trials}, {"link", name},
+                {"skip_largest", true}}, t1);
+      json.add(graph_name, "afforest-noskip",
+               {{"scale", scale}, {"trials", trials}, {"link", name},
+                {"skip_largest", false}}, t2);
     }
     table.print(std::cout);
   }

@@ -7,6 +7,13 @@
 //                           higher-indexed root onto the lower via CAS.
 //                           Maintains Invariant 1 (π(x) ≤ x), so π stays
 //                           acyclic (Lemma 1–2) and converges (Lemma 5).
+//   rem_splice(u, v, comp) — Rem's union with CAS splicing (Patwary, Blair,
+//                           Manne).  Climbs both chains; at each step
+//                           re-points the side with the larger parent at
+//                           the smaller parent, hooking it if it is a root.
+//                           Every write only lowers a parent, so
+//                           Invariant 1 holds and labels stay component
+//                           minima.
 //   compress(v, comp)     — full path compression to the root (Fig 2b);
 //                           safe to run on all vertices in parallel
 //                           (Theorem 2).
@@ -26,13 +33,36 @@
 //      inside c are skipped entirely — correct by Theorem 3 because each
 //      unordered edge is stored in both endpoint rows.
 //   4. Final compress.
+//
+// Link choices.  AfforestOptions::link picks, once per solve, the union
+// that phases 1 and 3 call on every edge: RootHook is link() (Fig 3), and
+// RemSplice, the default, is rem_splice().  Each splice lowers a parent on
+// the climbed path, so later unions and the compress passes walk shorter
+// paths.  Only afforest_cc offers the choice: IncrementalCC,
+// afforest_spanning_forest, the instrumented Table II / Fig 7 copies and
+// the serving engines call link() (docs/ALGORITHM.md, "Link choices").
+//
+// Why the §IV-D skip stays sound under splicing.  A splice moves a
+// non-root into the other tree before its old root is hooked, so a set is
+// briefly split, and a spliced vertex can carry c before its old root is
+// hooked.  Theorem 3 still holds:
+//   - every parent write, hook or splice, joins two vertices of the same
+//     component, so a tree never spans two components;
+//   - a union call returns only after its two endpoints share a tree, and
+//     that happens before the phase barrier;
+//   - a vertex is skipped when it reads the giant component's label c.
+//     The write it read put it in c's tree, so it is in c's component.
+//     So every edge it skips is either linked from its other endpoint, or
+//     joins two vertices that both end up in c's component.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <variant>
 
 #include "analysis/telemetry.hpp"
@@ -62,11 +92,19 @@ struct Chunked {
   std::int64_t size = 64;
 };
 
+/// Link choices: the union phases 1 and 3 call on every edge.  RootHook is
+/// link(), the paper's Fig 3; RemSplice is rem_splice().
+struct RootHook {};
+struct RemSplice {};
+
 /// Tuning knobs for Afforest.  Defaults follow the paper (§VI-A: two
-/// neighbor rounds; "constant number" of samples = 1024).
+/// neighbor rounds; "constant number" of samples = 1024), except the link:
+/// RemSplice solves cc-road and cc-kron faster than the paper's RootHook
+/// (docs/ALGORITHM.md, "Link choices").
 struct AfforestOptions {
   std::variant<NeighborRounds, UniformEdges> sampling = NeighborRounds{};
   std::variant<PerVertex, Chunked> schedule = PerVertex{};
+  std::variant<RootHook, RemSplice> link = RemSplice{};
   bool skip_largest = true;  ///< large-component skipping (paper §IV-D)
   std::int32_t sample_count = 1024;
   std::uint64_t sample_seed = 0xAFF0;
@@ -122,6 +160,53 @@ bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
   }
   telemetry::on_link(retries, cas_attempts, cas_failures);
   return merged;
+}
+
+/// Unites the trees containing u and v by Rem's CAS splicing.  Each step
+/// compares the parents of the two current vertices and CASes the one with
+/// the larger parent to the smaller parent: a root is hooked and the call
+/// ends; a non-root is spliced, and the climb goes on from its old parent
+/// (a failed splice is harmless).  A write only ever lowers a parent, so
+/// Invariant 1 holds.  Lock-free; safe to call concurrently on arbitrary
+/// edges.  A splice splits a set until the call returns, so code that reads
+/// the live forest between unions must use link() (see the header comment).
+// lint: parallel-context
+template <typename NodeID_>
+void rem_splice(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
+  // Tallies in registers, published once per call as in link().
+  std::uint64_t retries = 0, cas_attempts = 0, cas_failures = 0;
+  // lint: bounded(every retry either terminates, advances down a finite chain, or loses a CAS to a thread that made progress)
+  while (true) {
+    NodeID_ p_u = atomic_load(comp[u]);
+    NodeID_ p_v = atomic_load(comp[v]);
+    if (p_u == p_v) break;
+    // Keep the side with the larger parent in u.
+    if (p_u < p_v) {
+      std::swap(u, v);
+      std::swap(p_u, p_v);
+    }
+    ++cas_attempts;
+    const bool won = compare_and_swap(comp[u], p_u, p_v);
+    if (!won) ++cas_failures;
+    if (u == p_u) {
+      if (won) break;  // hooked a root; a lost race re-reads both parents
+    } else {
+      u = p_u;  // spliced (or lowered by another thread): climb
+    }
+    ++retries;
+  }
+  telemetry::on_link(retries, cas_attempts, cas_failures);
+}
+
+/// The union of link choice Link: link() for RootHook, rem_splice() for
+/// RemSplice.
+// lint: parallel-context
+template <typename Link, typename NodeID_>
+void unite(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
+  if constexpr (std::is_same_v<Link, RemSplice>)
+    rem_splice(u, v, comp);
+  else
+    link(u, v, comp);
 }
 
 /// Compresses v's path so comp[v] points directly at its root (Fig 2b).
@@ -256,8 +341,8 @@ pvector<EdgeChunk<NodeID_>> plan_chunks(const CSRGraph<NodeID_>& g,
 /// skipped links its out-neighbors from index `start` onward and, on
 /// directed graphs, its full in-neighborhood — an arc u->v whose tail u
 /// was skipped is still reached from v's in-edges, preserving Theorem 3's
-/// both-directions argument.
-template <typename NodeID_>
+/// both-directions argument.  Every edge goes through unite<Link>.
+template <typename Link, typename NodeID_>
 void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
                     std::int32_t start, const AfforestOptions& opts,
                     NodeID_ c) {
@@ -277,7 +362,7 @@ void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
         continue;
       }
       for (std::int64_t k = chunk.begin; k < chunk.end; ++k)
-        link(chunk.vertex, g.neighbor(chunk.vertex, k), comp);
+        unite<Link>(chunk.vertex, g.neighbor(chunk.vertex, k), comp);
     }
   } else {
 #pragma omp parallel for schedule(dynamic, 1024)
@@ -299,8 +384,8 @@ void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
       }
       const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
       for (OffsetT k = start; k < deg; ++k)
-        link(static_cast<NodeID_>(v),
-             g.neighbor(static_cast<NodeID_>(v), k), comp);
+        unite<Link>(static_cast<NodeID_>(v),
+                    g.neighbor(static_cast<NodeID_>(v), k), comp);
     }
   }
   if (!g.directed()) return;
@@ -308,22 +393,18 @@ void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
   for (std::int64_t v = 0; v < n; ++v) {
     if (should_skip(static_cast<NodeID_>(v), comp, opts, c)) continue;
     for (NodeID_ u : g.in_neigh(static_cast<NodeID_>(v)))
-      link(static_cast<NodeID_>(v), u, comp);
+      unite<Link>(static_cast<NodeID_>(v), u, comp);
   }
 }
 
-/// Full Afforest (paper Fig 5) for every AfforestOptions cell.  Returns
-/// component labels (weakly connected on a directed graph); labels are the
-/// minimum vertex id in each component (a property of Invariant 1 +
-/// convergence, relied on by tests).  Fills `times` when given.  Throws
-/// std::invalid_argument for a Chunked size <= 0 before any work.
-template <typename NodeID_>
-ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
-                                     const AfforestOptions& opts = {},
-                                     AfforestPhaseTimes* times = nullptr) {
-  const auto* chunked = std::get_if<Chunked>(&opts.schedule);
-  if (chunked != nullptr && chunked->size <= 0)
-    throw std::invalid_argument("afforest_cc: Chunked size must be positive");
+namespace detail {
+
+/// Fig 5's phases with every union through unite<Link>; afforest_cc
+/// validates the options and picks Link.
+template <typename Link, typename NodeID_>
+ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
+                                         const AfforestOptions& opts,
+                                         AfforestPhaseTimes* times) {
   if (times != nullptr) *times = {};
   // The one phase clock: each ScopedPhase records its afforest.* name when
   // telemetry is armed and adds to the matching *times field when given.
@@ -357,8 +438,8 @@ ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
 #pragma omp parallel for schedule(dynamic, 16384)
       for (std::int64_t v = 0; v < n; ++v) {
         if (r < g.out_degree(static_cast<NodeID_>(v))) {
-          link(static_cast<NodeID_>(v),
-               g.neighbor(static_cast<NodeID_>(v), r), comp);
+          unite<Link>(static_cast<NodeID_>(v),
+                      g.neighbor(static_cast<NodeID_>(v), r), comp);
         }
       }
     }
@@ -376,7 +457,7 @@ ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
           SplitMix64 hash((static_cast<std::uint64_t>(v) << 32) ^
                           static_cast<std::uint64_t>(w) ^ opts.sample_seed);
           if (hash.next() <= threshold)
-            link(static_cast<NodeID_>(v), w, comp);
+            unite<Link>(static_cast<NodeID_>(v), w, comp);
         }
       }
     }
@@ -395,11 +476,38 @@ ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
   {
     const telemetry::ScopedPhase phase(
         "afforest.final_link", slot(&AfforestPhaseTimes::final_link_s));
-    link_remaining(g, comp, start, opts, c);
+    link_remaining<Link>(g, comp, start, opts, c);
   }
 
   compress_phase();
   return comp;
+}
+
+}  // namespace detail
+
+/// Full Afforest (paper Fig 5) for every AfforestOptions cell.  Returns
+/// component labels (weakly connected on a directed graph); labels are the
+/// minimum vertex id in each component (a property of Invariant 1 +
+/// convergence, relied on by tests).  Fills `times` when given.  Throws
+/// std::invalid_argument before any work for a Chunked size <= 0, or for a
+/// directed graph without in-edges (phase 3 reaches a skipped tail's arcs
+/// only through them).
+template <typename NodeID_>
+ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
+                                     const AfforestOptions& opts = {},
+                                     AfforestPhaseTimes* times = nullptr) {
+  const auto* chunked = std::get_if<Chunked>(&opts.schedule);
+  if (chunked != nullptr && chunked->size <= 0)
+    throw std::invalid_argument("afforest_cc: Chunked size must be positive");
+  if (!g.has_in_edges())
+    throw std::invalid_argument(
+        "afforest_cc: directed graph without in-edges (build it with "
+        "build_directed, or BuilderOptions::build_in_edges)");
+  return std::visit(
+      [&](auto choice) {
+        return detail::afforest_phases<decltype(choice)>(g, opts, times);
+      },
+      opts.link);
 }
 
 /// Afforest without large-component skipping — the "Afforest (no skip)"

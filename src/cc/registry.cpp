@@ -38,6 +38,22 @@ CCFunction with_sink(std::string name, CCFunction fn) {
   };
 }
 
+/// An entry whose kernel reads each unordered edge from one stored
+/// direction, or follows out-rows only, so it needs symmetric storage: on a
+/// directed graph its run throws std::invalid_argument naming the
+/// algorithm instead of returning wrong labels.
+AlgorithmEntry symmetric_only(std::string name, std::string description,
+                              CCFunction fn) {
+  CCFunction guarded = [name, fn = std::move(fn)](
+                           const Graph& g) -> ComponentLabels<std::int32_t> {
+    if (g.directed())
+      throw std::invalid_argument(
+          name + ": needs an undirected (symmetric) graph, got a directed one");
+    return fn(g);
+  };
+  return {std::move(name), std::move(description), std::move(guarded)};
+}
+
 std::vector<AlgorithmEntry> wrap_all(std::vector<AlgorithmEntry> raw) {
   for (auto& e : raw) e.run = with_sink(e.name, std::move(e.run));
   return raw;
@@ -55,7 +71,9 @@ TelemetrySink* telemetry_sink() { return sink_slot(); }
 
 const std::vector<AlgorithmEntry>& cc_algorithms() {
   static const std::vector<AlgorithmEntry> algorithms = wrap_all({
-      {"afforest", "Afforest with neighbor sampling + component skipping",
+      {"afforest",
+       "Afforest with neighbor sampling + component skipping, "
+       "Rem splicing link",
        [](const Graph& g) { return afforest_cc(g); }},
       {"afforest-noskip", "Afforest without large-component skipping",
        [](const Graph& g) { return afforest_no_skip(g); }},
@@ -63,34 +81,43 @@ const std::vector<AlgorithmEntry>& cc_algorithms() {
        [](const Graph& g) { return shiloach_vishkin(g); }},
       {"sv-original", "Shiloach-Vishkin with the 1982 stagnant-root hook",
        [](const Graph& g) { return shiloach_vishkin_original(g); }},
-      {"sv-edgelist", "Shiloach-Vishkin over an explicit edge list "
-                      "(Soman et al.'s GPU formulation on CPU)",
-       [](const Graph& g) {
-         EdgeList<std::int32_t> edges;
-         edges.reserve(static_cast<std::size_t>(g.num_stored_edges() / 2));
-         for (std::int64_t u = 0; u < g.num_nodes(); ++u)
-           for (std::int32_t v : g.out_neigh(static_cast<std::int32_t>(u)))
-             if (static_cast<std::int32_t>(u) < v)
-               edges.push_back({static_cast<std::int32_t>(u), v});
-         return shiloach_vishkin_edgelist(edges, g.num_nodes());
-       }},
-      {"lp", "synchronous min-label propagation",
-       [](const Graph& g) { return label_propagation(g); }},
-      {"lp-frontier", "data-driven min-label propagation",
-       [](const Graph& g) { return label_propagation_frontier(g); }},
-      {"bfs", "BFS-CC (parallel BFS per component)",
-       [](const Graph& g) { return bfs_cc(g); }},
-      {"dobfs", "direction-optimizing BFS-CC",
-       [](const Graph& g) { return dobfs_cc(g); }},
-      {"multistep", "giant-component BFS + label propagation remainder "
-                    "(Slota et al. hybrid)",
-       [](const Graph& g) { return multistep_cc(g); }},
-      {"contraction", "hook-and-contract quotient rounds "
-                      "(Hirschberg/Blelloch family)",
-       [](const Graph& g) { return contraction_cc(g); }},
+      symmetric_only(
+          "sv-edgelist",
+          "Shiloach-Vishkin over an explicit edge list "
+          "(Soman et al.'s GPU formulation on CPU)",
+          [](const Graph& g) {
+            EdgeList<std::int32_t> edges;
+            edges.reserve(
+                static_cast<std::size_t>(g.num_stored_edges() / 2));
+            for (std::int64_t u = 0; u < g.num_nodes(); ++u)
+              for (std::int32_t v : g.out_neigh(static_cast<std::int32_t>(u)))
+                if (static_cast<std::int32_t>(u) < v)
+                  edges.push_back({static_cast<std::int32_t>(u), v});
+            return shiloach_vishkin_edgelist(edges, g.num_nodes());
+          }),
+      symmetric_only("lp", "synchronous min-label propagation",
+                     [](const Graph& g) { return label_propagation(g); }),
+      symmetric_only("lp-frontier", "data-driven min-label propagation",
+                     [](const Graph& g) {
+                       return label_propagation_frontier(g);
+                     }),
+      symmetric_only("bfs", "BFS-CC (parallel BFS per component)",
+                     [](const Graph& g) { return bfs_cc(g); }),
+      symmetric_only("dobfs", "direction-optimizing BFS-CC",
+                     [](const Graph& g) { return dobfs_cc(g); }),
+      symmetric_only("multistep",
+                     "giant-component BFS + label propagation remainder "
+                     "(Slota et al. hybrid)",
+                     [](const Graph& g) { return multistep_cc(g); }),
+      symmetric_only("contraction",
+                     "hook-and-contract quotient rounds "
+                     "(Hirschberg/Blelloch family)",
+                     [](const Graph& g) { return contraction_cc(g); }),
       {"rem", "Rem's union-find with path splicing (serial)",
        [](const Graph& g) { return rem_cc(g); }},
-      {"rem-parallel", "lock-free Rem with CAS splicing",
+      {"rem-parallel",
+       "lock-free Rem with CAS splicing (Afforest's splice link, no "
+       "sampling)",
        [](const Graph& g) { return rem_cc_parallel(g); }},
       {"serial-uf", "serial union-find reference",
        [](const Graph& g) { return union_find_cc(g); }},

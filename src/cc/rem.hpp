@@ -7,12 +7,15 @@
 // from the higher root, splicing the lower-parent pointer as you go
 // ("interleaved find with path splicing").  The serial version is among
 // the fastest sequential CC codes; the parallel version (Patwary,
-// Blair, Manne) replaces the splice with a CAS and retries on failure —
-// the same lock-free discipline as Afforest's link, against which it is an
-// interesting near-peer baseline.
+// Blair, Manne) replaces the splice with a CAS and retries on failure.
+// That CAS loop is rem_splice in afforest.hpp, Afforest's default link
+// choice, so rem_cc_parallel is the same primitive without sampling or
+// skipping.
 //
 // Like link, both maintain π(x) ≤ x, so final labels (after full
-// compression) are component minima.
+// compression) are component minima.  On symmetric storage each unordered
+// edge is united once, from its lower endpoint; on directed storage every
+// stored arc is united, so labels are weakly connected components.
 #pragma once
 
 #include <cstdint>
@@ -56,52 +59,28 @@ bool rem_unite(NodeID_ u, NodeID_ v, pvector<NodeID_>& parent) {
 template <typename NodeID_>
 ComponentLabels<NodeID_> rem_cc(const CSRGraph<NodeID_>& g) {
   const std::int64_t n = g.num_nodes();
+  const bool all_arcs = g.directed();
   auto parent = identity_labels<NodeID_>(n);
   for (std::int64_t u = 0; u < n; ++u)
     for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
-      if (static_cast<NodeID_>(u) < v)
+      if (all_arcs || static_cast<NodeID_>(u) < v)
         rem_unite(static_cast<NodeID_>(u), v, parent);
   compress_all(parent);
   return parent;
 }
 
-/// Lock-free Rem union: splices via CAS, retrying from the current node on
-/// contention (Patwary et al.'s shared-memory variant).
-// lint: parallel-context
-template <typename NodeID_>
-void rem_unite_atomic(NodeID_ u, NodeID_ v, pvector<NodeID_>& parent) {
-  NodeID_ r_u = u;
-  NodeID_ r_v = v;
-  // lint: bounded(every retry either terminates, advances down a finite chain, or loses a CAS to a thread that made progress)
-  while (true) {
-    NodeID_ p_u = atomic_load(parent[r_u]);
-    NodeID_ p_v = atomic_load(parent[r_v]);
-    if (p_u == p_v) return;
-    // Ensure r_u holds the side with the larger parent.
-    if (p_u < p_v) {
-      std::swap(r_u, r_v);
-      std::swap(p_u, p_v);
-    }
-    if (r_u == p_u) {  // r_u is (currently) a root: try to hook it
-      if (compare_and_swap(parent[r_u], p_u, p_v)) return;
-      continue;  // lost the race; re-read parents
-    }
-    // Try to splice r_u's parent down to p_v, then advance.
-    compare_and_swap(parent[r_u], p_u, p_v);  // failure is harmless
-    r_u = p_u;
-  }
-}
-
-/// Parallel Rem CC (lock-free splicing).
+/// Parallel Rem CC: rem_splice, Afforest's default link, over each edge
+/// once, then one compress_all.
 template <typename NodeID_>
 ComponentLabels<NodeID_> rem_cc_parallel(const CSRGraph<NodeID_>& g) {
   const std::int64_t n = g.num_nodes();
+  const bool all_arcs = g.directed();
   auto parent = identity_labels<NodeID_>(n);
 #pragma omp parallel for schedule(dynamic, 4096)
   for (std::int64_t u = 0; u < n; ++u)
     for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
-      if (static_cast<NodeID_>(u) < v)
-        rem_unite_atomic(static_cast<NodeID_>(u), v, parent);
+      if (all_arcs || static_cast<NodeID_>(u) < v)
+        rem_splice(static_cast<NodeID_>(u), v, parent);
   compress_all(parent);
   return parent;
 }

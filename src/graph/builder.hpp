@@ -117,6 +117,29 @@ class Builder {
                              std::move(in_neighbors));
   }
 
+  /// Derives the inverse (in-edge) rows from a directed graph's final
+  /// out-rows, so both directions agree after dedup/self-loop removal.  The
+  /// .sg loader also rebuilds a directed file's in-edges with it.
+  [[nodiscard]] static std::pair<pvector<OffsetT>, pvector<NodeID_>> invert(
+      const pvector<OffsetT>& offsets, const pvector<NodeID_>& neighbors) {
+    const std::int64_t n = static_cast<std::int64_t>(offsets.size()) - 1;
+    const auto in_entries = [&offsets, &neighbors](std::int64_t u,
+                                                   auto&& put) {
+      for (OffsetT e = offsets[u]; e < offsets[u + 1]; ++e)
+        put(neighbors[e], static_cast<NodeID_>(u));
+    };
+    pvector<OffsetT> in_degrees(static_cast<std::size_t>(n), 0);
+#pragma omp parallel for schedule(dynamic, 64)
+    for (std::int64_t u = 0; u < n; ++u)
+      in_entries(u, [&in_degrees](NodeID_ row, NodeID_) {
+        fetch_and_add(in_degrees[row], OffsetT{1});
+      });
+    pvector<OffsetT> in_offsets = parallel_prefix_sum(in_degrees);
+    pvector<NodeID_> in_neighbors =
+        fill_rows(in_offsets, in_degrees, n, in_entries);
+    return {std::move(in_offsets), std::move(in_neighbors)};
+  }
+
  private:
   [[nodiscard]] static OffsetT infer_num_nodes(
       const EdgeList<NodeID_>& edges) {
@@ -199,28 +222,6 @@ class Builder {
                   data + new_offsets[v]);
     neighbors.resize(static_cast<std::size_t>(new_offsets[n]));
     return new_offsets;
-  }
-
-  /// Derives the inverse (in-edge) rows from a directed graph's final
-  /// out-rows, so both directions agree after dedup/self-loop removal.
-  [[nodiscard]] static std::pair<pvector<OffsetT>, pvector<NodeID_>> invert(
-      const pvector<OffsetT>& offsets, const pvector<NodeID_>& neighbors) {
-    const std::int64_t n = static_cast<std::int64_t>(offsets.size()) - 1;
-    const auto in_entries = [&offsets, &neighbors](std::int64_t u,
-                                                   auto&& put) {
-      for (OffsetT e = offsets[u]; e < offsets[u + 1]; ++e)
-        put(neighbors[e], static_cast<NodeID_>(u));
-    };
-    pvector<OffsetT> in_degrees(static_cast<std::size_t>(n), 0);
-#pragma omp parallel for schedule(dynamic, 64)
-    for (std::int64_t u = 0; u < n; ++u)
-      in_entries(u, [&in_degrees](NodeID_ row, NodeID_) {
-        fetch_and_add(in_degrees[row], OffsetT{1});
-      });
-    pvector<OffsetT> in_offsets = parallel_prefix_sum(in_degrees);
-    pvector<NodeID_> in_neighbors =
-        fill_rows(in_offsets, in_degrees, n, in_entries);
-    return {std::move(in_offsets), std::move(in_neighbors)};
   }
 
   BuilderOptions opts_;

@@ -274,7 +274,15 @@ Graph read_serialized_graph(const std::string& path) {
          static_cast<std::int64_t>(kHeaderBytes + offsets_bytes) +
              bad_neighbor * 4);
 
-  return Graph(n, std::move(offsets), std::move(neighbors), directed != 0);
+  // The file stores only the out-CSR; a directed graph gets its in-edges
+  // back, as build_directed gives them, so weakly-connected kernels see
+  // every arc from both endpoints.
+  if (directed == 0)
+    return Graph(n, std::move(offsets), std::move(neighbors));
+  auto [in_offsets, in_neighbors] =
+      Builder<std::int32_t>::invert(offsets, neighbors);
+  return Graph(n, std::move(offsets), std::move(neighbors),
+               std::move(in_offsets), std::move(in_neighbors));
 }
 
 void write_labels(const std::string& path,

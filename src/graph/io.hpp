@@ -8,7 +8,9 @@
 //             1-indexed, `pattern`/`real`/`integer` fields accepted (values
 //             ignored), `symmetric` and `general` symmetries supported.
 //  - ".sg"  — this library's binary serialized CSR: magic, header, offset
-//             array, neighbor array.  Loading is O(|E|) with no rebuild.
+//             array, neighbor array.  Loading is O(|E|) with no rebuild;
+//             a directed file stores out-edges only, and the loader
+//             derives its in-edges.
 //
 // Every loader is hardened against corrupt and adversarial inputs: all
 // failures throw IoError (io_error.hpp) with a machine-checkable kind and
@@ -52,7 +54,8 @@ void write_serialized_graph(const std::string& path, const Graph& g);
 
 /// Loads a binary .sg graph.  The header's n/m are reconciled against the
 /// file's size before anything is allocated; neighbor ids are validated
-/// against [0, n).  Throws IoError (kBadMagic / kCorruptHeader /
+/// against [0, n).  A directed graph comes back with its in-edges
+/// (has_in_edges() is true).  Throws IoError (kBadMagic / kCorruptHeader /
 /// kTruncated / kTrailingGarbage / kMalformedOffsets /
 /// kOutOfRangeNeighbor / kIdOverflow).
 Graph read_serialized_graph(const std::string& path);

@@ -1,11 +1,13 @@
-// Unit tests for Afforest's primitives: link, compress, and
+// Unit tests for Afforest's primitives: link, rem_splice, compress, and
 // sample_frequent_element — including the paper's invariants (Invariant 1,
 // Lemmas 1–5, Theorem 2).
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "analysis/telemetry.hpp"
 #include "cc/afforest.hpp"
+#include "cc/union_find.hpp"
 #include "util/rng.hpp"
 
 namespace afforest {
@@ -101,6 +103,90 @@ TEST(Link, ParallelStressConvergesToSingleTree) {
   for (std::int64_t v = 0; v < n; ++v)
     ASSERT_EQ(root_of(comp, static_cast<NodeID>(v)), r);
   EXPECT_TRUE(invariant_holds(comp));
+}
+
+TEST(LinkSplice, MergesTwoSingletons) {
+  auto comp = identity_labels<NodeID>(4);
+  rem_splice<NodeID>(1, 3, comp);
+  EXPECT_EQ(comp[3], 1);
+  EXPECT_EQ(comp[1], 1);
+}
+
+TEST(LinkSplice, SplicesTheClimbedPathOntoTheLowerParent) {
+  // 3 -> 2 -> 2 and 1 -> 0: link() would only hook root 2 onto 0; the
+  // splice also re-points 3 at 0 on its way up.
+  pvector<NodeID> comp{0, 0, 2, 2, 2};
+  rem_splice<NodeID>(3, 1, comp);
+  EXPECT_EQ(comp[3], 0);
+  EXPECT_EQ(comp[2], 0);
+  EXPECT_EQ(comp[4], 2);  // off the climbed path: untouched
+  EXPECT_TRUE(invariant_holds(comp));
+}
+
+TEST(LinkSplice, IdempotentOnSameEdge) {
+  auto comp = identity_labels<NodeID>(4);
+  rem_splice<NodeID>(1, 3, comp);
+  const auto before = comp.clone();
+  rem_splice<NodeID>(1, 3, comp);
+  rem_splice<NodeID>(3, 1, comp);
+  for (std::size_t i = 0; i < comp.size(); ++i)
+    EXPECT_EQ(comp[i], before[i]);
+}
+
+TEST(LinkSplice, PreservesInvariantOnRandomSequences) {
+  // Invariant 1 after every call; after compress, every label is its
+  // component's minimum, exactly as union-find labels it.
+  Xoshiro256 rng(29);
+  for (int trial = 0; trial < 20; ++trial) {
+    auto comp = identity_labels<NodeID>(64);
+    EdgeList<NodeID> edges;
+    for (int e = 0; e < 60; ++e) {
+      const auto u = static_cast<NodeID>(rng.next_bounded(64));
+      const auto v = static_cast<NodeID>(rng.next_bounded(64));
+      rem_splice(u, v, comp);
+      edges.push_back({u, v});
+      ASSERT_TRUE(invariant_holds(comp)) << "trial " << trial;
+    }
+    ASSERT_TRUE(acyclic(comp));
+    compress_all(comp);
+    const auto want = union_find_cc(edges, 64);
+    for (std::size_t v = 0; v < comp.size(); ++v)
+      ASSERT_EQ(comp[v], want[v]) << "trial " << trial << " v=" << v;
+  }
+}
+
+TEST(LinkSplice, ParallelStressConvergesToSingleTree) {
+  const std::int64_t n = 1 << 12;
+  auto comp = identity_labels<NodeID>(n);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < n * 8; ++i) {
+    Xoshiro256 rng(static_cast<std::uint64_t>(i));
+    const auto u = static_cast<NodeID>(rng.next_bounded(n));
+    const auto v = static_cast<NodeID>((u + 1) % n);
+    rem_splice(u, v, comp);
+  }
+  // The same edge set as Link.ParallelStressConvergesToSingleTree.
+  EXPECT_TRUE(invariant_holds(comp));
+  const NodeID r = root_of(comp, 0);
+  for (std::int64_t v = 0; v < n; ++v)
+    ASSERT_EQ(root_of(comp, static_cast<NodeID>(v)), r);
+  EXPECT_EQ(r, 0);
+}
+
+TEST(LinkSplice, ReportsOneLinkCallPerCall) {
+  // The driver's edge identity (sampled + final + skipped == stored) and
+  // perfbench's per-call ratios count one link_calls per union call.
+  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  const telemetry::ScopedEnable armed;
+  auto comp = identity_labels<NodeID>(64);
+  Xoshiro256 rng(5);
+  for (int e = 0; e < 100; ++e)
+    rem_splice(static_cast<NodeID>(rng.next_bounded(64)),
+               static_cast<NodeID>(rng.next_bounded(64)), comp);
+  const auto c = telemetry::capture().counters;
+  EXPECT_EQ(c.link_calls, 100u);
+  EXPECT_EQ(c.cas_failures, 0u);  // one thread: no CAS can lose
+  EXPECT_GE(c.cas_attempts, c.link_retries);
 }
 
 TEST(Compress, SingleVertexPathBecomesDepthOne) {

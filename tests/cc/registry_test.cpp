@@ -7,7 +7,9 @@
 
 #include "cc/union_find.hpp"
 #include "cc/verifier.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators/suite.hpp"
+#include "graph/generators/uniform.hpp"
 
 namespace afforest {
 namespace {
@@ -86,6 +88,34 @@ TEST(Registry, EveryAlgorithmRunsCorrectly) {
   const auto truth = union_find_cc(g);
   for (const auto& a : cc_algorithms())
     EXPECT_TRUE(labels_equivalent(a.run(g), truth)) << a.name;
+}
+
+TEST(Registry, DirectedInputsGetCorrectLabelsOrATypedRefusal) {
+  // Weakly connected components of a directed graph: an entry either
+  // matches the union-find of the symmetrized graph or, if its kernel needs
+  // symmetric storage, throws std::invalid_argument naming itself.  No
+  // entry may return wrong labels.
+  const std::set<std::string> symmetric_only = {
+      "sv-edgelist", "lp",        "lp-frontier", "bfs",
+      "dobfs",       "multistep", "contraction"};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto edges = generate_uniform_edges<std::int32_t>(300, 300, seed);
+    const Graph g = build_directed(edges, 300);
+    const auto truth = union_find_cc(edges, 300);
+    for (const auto& a : cc_algorithms()) {
+      const bool refuses = symmetric_only.count(a.name) != 0;
+      try {
+        const auto labels = a.run(g);
+        EXPECT_FALSE(refuses) << a.name << " did not refuse";
+        EXPECT_TRUE(labels_equivalent(labels, truth))
+            << a.name << " seed " << seed;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_TRUE(refuses) << a.name << ": " << e.what();
+        EXPECT_NE(std::string(e.what()).find(a.name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Registry, AfforestListedFirst) {

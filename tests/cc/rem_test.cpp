@@ -56,6 +56,19 @@ TEST(RemCC, EmptyAndSingleton) {
   EXPECT_EQ(rem_cc_parallel(one)[0], 0);
 }
 
+TEST(RemCC, DirectedInputsGetWeakComponents) {
+  // Directed storage holds each arc once, in its tail's row: both variants
+  // unite every stored arc, not only those with tail < head.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const auto edges = generate_uniform_edges<NodeID>(300, 300, seed);
+    const Graph g = build_directed(edges, 300);
+    const auto truth = union_find_cc(edges, 300);
+    EXPECT_TRUE(labels_equivalent(rem_cc(g), truth)) << "serial " << seed;
+    EXPECT_TRUE(labels_equivalent(rem_cc_parallel(g), truth))
+        << "parallel " << seed;
+  }
+}
+
 TEST(RemCCParallel, StressManySeeds) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const std::int64_t n = 1 << 11;

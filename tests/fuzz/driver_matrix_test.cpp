@@ -1,9 +1,10 @@
 // afforest_cc's option matrix, checked differentially: every sampling ×
-// schedule × skip cell must return exactly the labels of a serial
+// schedule × skip × link cell must return exactly the labels of a serial
 // union-find over the symmetrized graph (both label a component by its
 // minimum vertex id), on undirected and directed inputs.  Directed inputs
 // check phase 3's in-edge pass: an arc u->v whose tail u is skipped is
-// reached only from v's in-edges.
+// reached only from v's in-edges.  Cells without a link suffix use the
+// default link, RemSplice; "_roothook" cells use the paper's link().
 //
 // Inputs: every fuzz-corpus family at scales {0, 2, 9}, built undirected
 // and directed; 120 directed G(n, m) graphs; and the graphs the former
@@ -56,17 +57,22 @@ std::vector<Cell> driver_cells() {
       schedules = {{"vertex", PerVertex{}},
                    {"chunk1", Chunked{1}},
                    {"chunk64", Chunked{64}}};
+  const std::vector<std::pair<std::string, decltype(AfforestOptions::link)>>
+      links = {{"", RemSplice{}}, {"_roothook", RootHook{}}};
   std::vector<Cell> cells;
-  for (const auto& [sampling_name, sampling] : samplings) {
-    for (const auto& [schedule_name, schedule] : schedules) {
-      for (const bool skip : {true, false}) {
-        Cell cell;
-        cell.name = sampling_name + "_" + schedule_name +
-                    (skip ? "_skip" : "_noskip");
-        cell.opts.sampling = sampling;
-        cell.opts.schedule = schedule;
-        cell.opts.skip_largest = skip;
-        cells.push_back(std::move(cell));
+  for (const auto& [link_name, link] : links) {
+    for (const auto& [sampling_name, sampling] : samplings) {
+      for (const auto& [schedule_name, schedule] : schedules) {
+        for (const bool skip : {true, false}) {
+          Cell cell;
+          cell.name = sampling_name + "_" + schedule_name +
+                      (skip ? "_skip" : "_noskip") + link_name;
+          cell.opts.sampling = sampling;
+          cell.opts.schedule = schedule;
+          cell.opts.skip_largest = skip;
+          cell.opts.link = link;
+          cells.push_back(std::move(cell));
+        }
       }
     }
   }

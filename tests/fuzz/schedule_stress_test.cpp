@@ -10,7 +10,8 @@
 //   - std::thread phase drivers: unlike libgomp (which GCC does not
 //     TSan-instrument), std::thread is fully intercepted, so these tests
 //     are the ones that let the TSan preset actually observe the
-//     concurrent link/link, compress/compress, and Rem-splice histories.
+//     concurrent link/link, compress/compress, and Rem-splice histories,
+//     including phase 3's skip check racing splices.
 //     They are the regression tests for the data races fixed in this PR
 //     (plain reads/writes in compress() and the SV hook, see afforest.hpp
 //     and shiloach_vishkin.hpp).
@@ -265,13 +266,68 @@ TEST(StdThreadStress, RemSpliceConvergesToOracle) {
   const auto m = static_cast<std::int64_t>(edges.size());
   run_on_threads(4, m, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i)
-      rem_unite_atomic(edges[i].u, edges[i].v, parent);
+      rem_splice(edges[i].u, edges[i].v, parent);
   });
   run_on_threads(4, n, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t v = lo; v < hi; ++v)
       compress(static_cast<NodeID>(v), parent);
   });
   EXPECT_TRUE(labels_equivalent(parent, truth));
+}
+
+TEST(StdThreadStress, SpliceFinalPhaseSkipIsSound) {
+  // afforest_cc's phases with the splice link, on std::threads: two
+  // sampling rounds, compress, the giant label c, then phase 3 with the
+  // skip check racing splices.  A vertex spliced under c before its old
+  // root is hooked is skipped; Theorem 3 must still hold, so the labels
+  // equal union-find's.
+  for (const char* family : {"urand", "kron", "star-reversed"}) {
+    const auto in = fuzz::make_fuzz_input(family, 12, 3);
+    const Graph g = build_undirected(in.edges, in.num_nodes);
+    const std::int64_t n = g.num_nodes();
+    const auto truth = union_find_cc(g);
+    const auto compress_on_threads = [&](pvector<NodeID>& comp) {
+      run_on_threads(4, n, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t v = lo; v < hi; ++v)
+          compress(static_cast<NodeID>(v), comp);
+      });
+    };
+    const int rounds = std::max(2, 6 * fuzz::fuzz_budget() / 100);
+    for (int round = 0; round < rounds; ++round) {
+      auto comp = identity_labels<NodeID>(n);
+      constexpr std::int32_t kRounds = 2;
+      for (std::int32_t r = 0; r < kRounds; ++r) {
+        run_on_threads(4, n, [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t v = lo; v < hi; ++v)
+            if (r < g.out_degree(static_cast<NodeID>(v)))
+              rem_splice(static_cast<NodeID>(v),
+                         g.neighbor(static_cast<NodeID>(v), r), comp);
+        });
+        compress_on_threads(comp);
+      }
+      AfforestOptions opts;
+      const NodeID c = sample_frequent_element(comp, opts.sample_count,
+                                               opts.sample_seed + round);
+      // Interleaved ownership: thread t takes every 4th vertex starting
+      // at t, so skipped and linking vertices sit side by side.
+      std::vector<std::thread> threads;
+      for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+          for (std::int64_t v = t; v < n; v += 4) {
+            const auto x = static_cast<NodeID>(v);
+            if (should_skip(x, comp, opts, c)) continue;
+            for (std::int64_t k = kRounds; k < g.out_degree(x); ++k)
+              rem_splice(x, g.neighbor(x, k), comp);
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      compress_on_threads(comp);
+      for (std::int64_t v = 0; v < n; ++v)
+        ASSERT_EQ(comp[v], truth[v])
+            << family << " round " << round << " v=" << v;
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "cc/afforest.hpp"
+#include "cc/union_find.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators/uniform.hpp"
 
@@ -86,6 +88,45 @@ TEST_F(IOTest, SerializedGraphRoundTrip) {
       ASSERT_EQ(h.neighbor(static_cast<std::int32_t>(v), k),
                 g.neighbor(static_cast<std::int32_t>(v), k));
   }
+}
+
+TEST_F(IOTest, DirectedSerializedGraphKeepsInEdges) {
+  // The file stores only the out-CSR; the loader rebuilds the in-edges,
+  // so afforest_cc's in-edge pass reaches the arcs of skipped tails.
+  const EdgeList<std::int32_t> edges{{0, 1}, {3, 0}, {2, 1}, {5, 4}};
+  const Graph g = build_directed(edges, 6);
+  write_serialized_graph(path("d.sg"), g);
+  const Graph h = read_serialized_graph(path("d.sg"));
+  ASSERT_TRUE(h.directed());
+  ASSERT_TRUE(h.has_in_edges());
+  for (std::int32_t v = 0; v < 6; ++v) {
+    ASSERT_EQ(h.in_degree(v), g.in_degree(v)) << v;
+    for (std::int64_t k = 0; k < g.in_degree(v); ++k)
+      ASSERT_EQ(h.in_neigh(v)[k], g.in_neigh(v)[k]) << v;
+  }
+  const auto want = union_find_cc(edges, 6);
+  using Link = decltype(AfforestOptions::link);
+  for (const Link link : {Link{RootHook{}}, Link{RemSplice{}}}) {
+    AfforestOptions opts;
+    opts.link = link;
+    const auto got = afforest_cc(h, opts);
+    for (std::size_t v = 0; v < want.size(); ++v)
+      EXPECT_EQ(got[v], want[v]) << "v=" << v << " link=" << link.index();
+  }
+}
+
+TEST_F(IOTest, AfforestRefusesDirectedGraphWithoutInEdges) {
+  // Phase 3 reaches a skipped tail's arc only through the head's in-edges,
+  // so a directed CSR without them is refused before any work.
+  pvector<std::int64_t> offsets{0, 1, 1, 2};
+  pvector<std::int32_t> neighbors{1, 0};
+  const Graph g(3, std::move(offsets), std::move(neighbors),
+                /*directed=*/true);
+  ASSERT_FALSE(g.has_in_edges());
+  EXPECT_THROW(afforest_cc(g), std::invalid_argument);
+  AfforestOptions root_hook;
+  root_hook.link = RootHook{};
+  EXPECT_THROW(afforest_cc(g, root_hook), std::invalid_argument);
 }
 
 TEST_F(IOTest, BadMagicThrows) {
