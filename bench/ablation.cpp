@@ -16,38 +16,6 @@
 #include "graph/generators/suite.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-using namespace afforest;
-
-// Afforest variant with the interleaved compress removed (ablation 2):
-// neighbor rounds link without compressing between rounds.  It links
-// with link(), so row [2] pins the driver to RootHook as well.
-ComponentLabels<std::int32_t> afforest_no_interleave(const Graph& g,
-                                                     std::int32_t rounds) {
-  const std::int64_t n = g.num_nodes();
-  auto comp = identity_labels<std::int32_t>(n);
-  for (std::int32_t r = 0; r < rounds; ++r) {
-#pragma omp parallel for schedule(dynamic, 16384)
-    for (std::int64_t v = 0; v < n; ++v)
-      if (r < g.out_degree(static_cast<std::int32_t>(v)))
-        link(static_cast<std::int32_t>(v),
-             g.neighbor(static_cast<std::int32_t>(v), r), comp);
-    // no compress here — the ablation
-  }
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (std::int64_t v = 0; v < n; ++v) {
-    const auto deg = g.out_degree(static_cast<std::int32_t>(v));
-    for (std::int64_t k = rounds; k < deg; ++k)
-      link(static_cast<std::int32_t>(v),
-           g.neighbor(static_cast<std::int32_t>(v), k), comp);
-  }
-  compress_all(comp);
-  return comp;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace afforest;
   CommandLine cl(argc, argv);
@@ -94,7 +62,7 @@ int main(int argc, char** argv) {
   std::cout << "\n[2] compress interleaving (tree depth after sampling)\n";
   {
     TextTable table({"variant", "median ms", "max tree depth"});
-    // One change at a time: the no-interleave copy links with link(), so
+    // One change at a time: afforest_no_interleave links with link(), so
     // the interleaved row must too, or it would time the link choice.
     AfforestOptions interleaved;
     interleaved.skip_largest = false;
@@ -104,14 +72,18 @@ int main(int argc, char** argv) {
     const auto t_without =
         bench::time_trials([&] { afforest_no_interleave(g, 2); }, trials);
     const auto depth_with = afforest_instrumented(g).max_tree_depth;
-    // Depth probe for the no-interleave variant: link 2 rounds, measure.
-    auto comp = identity_labels<std::int32_t>(g.num_nodes());
-    for (std::int32_t r = 0; r < 2; ++r)
-      for (std::int64_t v = 0; v < g.num_nodes(); ++v)
-        if (r < g.out_degree(static_cast<std::int32_t>(v)))
-          link(static_cast<std::int32_t>(v),
-               g.neighbor(static_cast<std::int32_t>(v), r), comp);
-    const auto depth_without = max_tree_depth(comp);
+    // The no-interleave depth is taken when the final link begins, after
+    // the sampling rounds the interleaved compress would have flattened.
+    struct DepthAfterSampling : TelemetryProbe {
+      std::int64_t* depth;
+
+      void phase(AfforestPhase which, std::int32_t,
+                 const pvector<std::int32_t>& comp) const {
+        if (which == AfforestPhase::kFinalLink) *depth = max_tree_depth(comp);
+      }
+    };
+    std::int64_t depth_without = 0;
+    afforest_no_interleave(g, 2, DepthAfterSampling{{}, &depth_without});
     table.add_row({"interleaved compress",
                    TextTable::fmt(t_with.median_s * 1e3, 2),
                    TextTable::fmt_int(depth_with)});

@@ -44,15 +44,19 @@ int main(int argc, char** argv) {
   sv.trace.render_heatmap(std::cout, buckets, n);
   std::cout << "total accesses: " << sv.trace.total_accesses() << "\n";
 
-  std::cout << "\n(b) Afforest, no component skip  (Lk=link, Ck=compress)\n";
-  AfforestOptions no_skip;
+  // Panels (b) and (c) trace the paper's Fig 3 link, RootHook.
+  AfforestOptions skip;
+  skip.link = RootHook{};
+  AfforestOptions no_skip = skip;
   no_skip.skip_largest = false;
+
+  std::cout << "\n(b) Afforest, no component skip  (Lk=link, Ck=compress)\n";
   const auto aff_ns = run_traced_afforest(g, no_skip);
   aff_ns.trace.render_heatmap(std::cout, buckets, n);
   std::cout << "total accesses: " << aff_ns.trace.total_accesses() << "\n";
 
   std::cout << "\n(c) Afforest  (F=find largest component)\n";
-  const auto aff = run_traced_afforest(g);
+  const auto aff = run_traced_afforest(g, skip);
   aff.trace.render_heatmap(std::cout, buckets, n);
   std::cout << "total accesses: " << aff.trace.total_accesses() << "\n";
 

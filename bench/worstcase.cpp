@@ -35,8 +35,9 @@ int main(int argc, char** argv) {
   {
     const auto edges = adversarial_star_edges<std::int32_t>(n);
     auto comp = identity_labels<std::int32_t>(n);
-    std::int64_t iters = 0;
-    for (const auto& [u, v] : edges) link_counted(u, v, comp, iters);
+    LinkCounter counter;
+    for (const auto& [u, v] : edges) link(u, v, comp, counter.probe());
+    const std::int64_t iters = counter.stats().local_iterations;
     TextTable table({"edges", "link-loop iterations", "iters/edge"});
     table.add_row({TextTable::fmt_int(static_cast<long long>(edges.size())),
                    TextTable::fmt_int(iters),

@@ -1,12 +1,14 @@
-// Instrumented variants of the CC kernels for the paper's Table II:
-// per-edge local iteration counts of Afforest's link loop, outer iteration
-// counts of SV, and the maximal component-tree depth each algorithm builds.
+// Instrumented runs of the CC kernels for the paper's Table II: per-edge
+// local iteration counts of Afforest's link loop, outer iteration counts of
+// SV, and the maximal component-tree depth each algorithm builds.
 //
-// The instrumented kernels mirror the production ones exactly, adding
-// counters; they are kept separate so the hot paths carry no bookkeeping.
+// Afforest's counts come from a probe on afforest_cc itself (LinkCounter),
+// so Table II observes the driver's own code.  SV's instrumented copy is a
+// separate loop with counters.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "cc/afforest.hpp"
 #include "cc/common.hpp"
@@ -14,6 +16,7 @@
 #include "cc/shiloach_vishkin.hpp"
 #include "graph/csr_graph.hpp"
 #include "util/parallel.hpp"
+#include "util/platform.hpp"
 
 namespace afforest {
 
@@ -43,7 +46,7 @@ std::int64_t max_tree_depth(const pvector<NodeID_>& comp) {
 struct LinkStats {
   std::int64_t link_calls = 0;        ///< number of link() invocations
   std::int64_t local_iterations = 0;  ///< total iterations of link's loop
-  std::int64_t max_tree_depth = 0;    ///< deepest π tree seen at any probe
+  std::int64_t max_tree_depth = 0;    ///< deepest π tree before any compress
 
   [[nodiscard]] double avg_local_iterations() const {
     return link_calls == 0 ? 0.0
@@ -52,80 +55,69 @@ struct LinkStats {
   }
 };
 
-/// link() with an iteration counter (adds to `iters` the number of times
-/// the while-loop body would run, counting a trivially-linked edge as 1 —
-/// the "validation" iteration §V-A describes).
-// lint: parallel-context
-template <typename NodeID_>
-void link_counted(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp,
-                  std::int64_t& iters) {
-  NodeID_ p1 = atomic_load(comp[u]);
-  NodeID_ p2 = atomic_load(comp[v]);
-  ++iters;  // the initial comparison pass
-  // lint: bounded(each retry strictly descends a finite acyclic parent chain; Lemma 5)
-  while (p1 != p2) {
-    const NodeID_ high = std::max(p1, p2);
-    const NodeID_ low = std::min(p1, p2);
-    const NodeID_ p_high = atomic_load(comp[high]);
-    if (p_high == low) break;
-    if (p_high == high && compare_and_swap(comp[high], high, low)) break;
-    p1 = atomic_load(comp[atomic_load(comp[high])]);
-    p2 = atomic_load(comp[low]);
-    ++iters;
-  }
-}
+/// Table II's counters as a probe on link() or afforest_cc: link calls and
+/// link-loop iterations, 1 + retries per call (the first is the
+/// "validation" iteration §V-A describes), in per-thread slots, plus the
+/// deepest π tree seen just before each compress.
+class LinkCounter {
+ public:
+  struct Probe : TelemetryProbe {
+    LinkCounter* counter;
 
-/// Afforest (no component skipping, per Table II's setup) with counters.
+    void linked(std::int64_t, std::int64_t, bool, std::uint64_t retries,
+                std::uint64_t, std::uint64_t) const {
+      Slot& slot = counter->slots_[static_cast<std::size_t>(thread_id())];
+      ++slot.link_calls;
+      slot.local_iterations += 1 + static_cast<std::int64_t>(retries);
+    }
+    template <typename NodeID_>
+    void phase(AfforestPhase which, std::int32_t,
+               const pvector<NodeID_>& comp) const {
+      if (which == AfforestPhase::kCompress ||
+          which == AfforestPhase::kFinalCompress)
+        counter->max_depth_ =
+            std::max(counter->max_depth_, max_tree_depth(comp));
+    }
+  };
+
+  LinkCounter() : slots_(static_cast<std::size_t>(num_threads())) {}
+  LinkCounter(const LinkCounter&) = delete;  // probes hold its address
+  LinkCounter& operator=(const LinkCounter&) = delete;
+
+  [[nodiscard]] Probe probe() { return Probe{{}, this}; }
+
+  [[nodiscard]] LinkStats stats() const {
+    LinkStats stats;
+    for (const Slot& slot : slots_) {
+      stats.link_calls += slot.link_calls;
+      stats.local_iterations += slot.local_iterations;
+    }
+    stats.max_tree_depth = max_depth_;
+    return stats;
+  }
+
+ private:
+  // One thread's partial LinkStats, alone on its cache line.
+  struct alignas(kCacheLineBytes) Slot : LinkStats {};
+  std::vector<Slot> slots_;
+  std::int64_t max_depth_ = 0;
+};
+
+/// Afforest with Table II's counters: afforest_cc's RootHook cell with
+/// neighbor_rounds rounds and no component skipping (Table II's setup),
+/// observed by a LinkCounter.
 template <typename NodeID_>
 LinkStats afforest_instrumented(const CSRGraph<NodeID_>& g,
                                 ComponentLabels<NodeID_>* out_labels = nullptr,
                                 std::int32_t neighbor_rounds = 2) {
-  using OffsetT = typename CSRGraph<NodeID_>::OffsetT;
-  const std::int64_t n = g.num_nodes();
-  ComponentLabels<NodeID_> comp = identity_labels<NodeID_>(n);
-  LinkStats stats;
-
-  auto probe_depth = [&] {
-    stats.max_tree_depth =
-        std::max(stats.max_tree_depth, max_tree_depth(comp));
-  };
-
-  for (std::int32_t r = 0; r < neighbor_rounds; ++r) {
-    std::int64_t iters = 0;
-    std::int64_t calls = 0;
-#pragma omp parallel for reduction(+ : iters, calls) schedule(dynamic, 16384)
-    for (std::int64_t v = 0; v < n; ++v) {
-      if (r < g.out_degree(static_cast<NodeID_>(v))) {
-        link_counted(static_cast<NodeID_>(v),
-                     g.neighbor(static_cast<NodeID_>(v), r), comp, iters);
-        ++calls;
-      }
-    }
-    stats.local_iterations += iters;
-    stats.link_calls += calls;
-    probe_depth();
-    compress_all(comp);
-  }
-
-  {
-    std::int64_t iters = 0;
-    std::int64_t calls = 0;
-#pragma omp parallel for reduction(+ : iters, calls) schedule(dynamic, 1024)
-    for (std::int64_t v = 0; v < n; ++v) {
-      const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
-      for (OffsetT k = neighbor_rounds; k < deg; ++k) {
-        link_counted(static_cast<NodeID_>(v),
-                     g.neighbor(static_cast<NodeID_>(v), k), comp, iters);
-        ++calls;
-      }
-    }
-    stats.local_iterations += iters;
-    stats.link_calls += calls;
-  }
-  probe_depth();
-  compress_all(comp);
-  if (out_labels != nullptr) *out_labels = std::move(comp);
-  return stats;
+  AfforestOptions opts;
+  opts.sampling = NeighborRounds{neighbor_rounds};
+  opts.link = RootHook{};
+  opts.skip_largest = false;
+  LinkCounter counter;
+  auto labels = afforest_cc(g, opts, nullptr, counter.probe());
+  if (out_labels != nullptr) *out_labels = std::move(labels);
+  return counter.stats();
 }
 
 /// SV counters for the same table: outer iterations and max tree depth

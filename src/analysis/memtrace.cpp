@@ -5,10 +5,6 @@
 #include <algorithm>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_map>
-#include <variant>
-
-#include "util/rng.hpp"
 
 namespace afforest {
 
@@ -103,33 +99,25 @@ void traced_init(TracedPi& pi, MemTrace& trace) {
     pi.store(v, static_cast<NodeID>(v));
 }
 
-void traced_link(NodeID u, NodeID v, TracedPi& pi) {
-  NodeID p1 = pi.load(u);
-  NodeID p2 = pi.load(v);
-  while (p1 != p2) {
-    const NodeID high = std::max(p1, p2);
-    const NodeID low = std::min(p1, p2);
-    const NodeID p_high = pi.load(high);
-    if (p_high == low) break;
-    if (p_high == high) {
-      pi.store(high, low);  // serial mirror of the CAS
-      break;
-    }
-    p1 = pi.load(pi.load(high));
-    p2 = pi.load(low);
-  }
-}
+// Forwards every π access of an afforest_cc solve to a MemTrace and names
+// the phases as Fig 7 does.  A CAS is recorded as one write.
+struct TraceProbe : TelemetryProbe {
+  MemTrace* trace;
 
-void traced_compress_all(TracedPi& pi) {
-  for (std::int64_t v = 0; v < pi.size(); ++v) {
-    while (true) {
-      const NodeID parent = pi.load(v);
-      const NodeID grand = pi.load(parent);
-      if (grand == parent) break;
-      pi.store(v, grand);
+  void read(std::int64_t i) const { trace->record(i, false); }
+  void write(std::int64_t i) const { trace->record(i, true); }
+  void phase(AfforestPhase which, std::int32_t round,
+             const pvector<NodeID>&) const {
+    const std::string r = std::to_string(round + 1);
+    switch (which) {
+      case AfforestPhase::kSample: trace->begin_phase("L" + r); break;
+      case AfforestPhase::kCompress: trace->begin_phase("C" + r); break;
+      case AfforestPhase::kFindLargest: trace->begin_phase("F"); break;
+      case AfforestPhase::kFinalLink: trace->begin_phase("L*"); break;
+      case AfforestPhase::kFinalCompress: trace->begin_phase("C*"); break;
     }
   }
-}
+};
 
 ComponentLabels<NodeID> extract_labels(const TracedPi& pi) {
   ComponentLabels<NodeID> out(static_cast<std::size_t>(pi.size()));
@@ -173,53 +161,12 @@ TraceResult run_traced_sv(const Graph& g) {
 
 TraceResult run_traced_afforest(const Graph& g, AfforestOptions opts) {
   TraceResult result;
-  TracedPi pi(g.num_nodes(), result.trace);
-  traced_init(pi, result.trace);
-  const std::int64_t n = g.num_nodes();
-  const std::int32_t rounds =
-      std::max(std::int32_t{0}, std::get<NeighborRounds>(opts.sampling).k);
-
-  for (std::int32_t r = 0; r < rounds; ++r) {
-    result.trace.begin_phase("L" + std::to_string(r + 1));
-    for (std::int64_t v = 0; v < n; ++v)
-      if (r < g.out_degree(static_cast<NodeID>(v)))
-        traced_link(static_cast<NodeID>(v),
-                    g.neighbor(static_cast<NodeID>(v), r), pi);
-    result.trace.begin_phase("C" + std::to_string(r + 1));
-    traced_compress_all(pi);
-  }
-
-  NodeID c = 0;
-  if (opts.skip_largest && n > 0) {
-    result.trace.begin_phase("F");
-    // Serial mirror of sample_frequent_element, through the tracer.
-    std::unordered_map<NodeID, std::int32_t> counts;
-    Xoshiro256 rng(opts.sample_seed);
-    for (std::int32_t i = 0; i < opts.sample_count; ++i) {
-      const auto idx = static_cast<std::int64_t>(
-          rng.next_bounded(static_cast<std::uint64_t>(n)));
-      ++counts[pi.load(idx)];
-    }
-    std::int32_t best = -1;
-    for (const auto& [label, count] : counts) {
-      if (count > best) {
-        best = count;
-        c = label;
-      }
-    }
-  }
-
-  result.trace.begin_phase("L*");
-  for (std::int64_t v = 0; v < n; ++v) {
-    if (opts.skip_largest && pi.load(v) == c) continue;
-    const std::int64_t deg = g.out_degree(static_cast<NodeID>(v));
-    for (std::int64_t k = rounds; k < deg; ++k)
-      traced_link(static_cast<NodeID>(v),
-                  g.neighbor(static_cast<NodeID>(v), k), pi);
-  }
-  result.trace.begin_phase("C*");
-  traced_compress_all(pi);
-  result.labels = extract_labels(pi);
+  // identity_labels writes every slot once, before the driver's first
+  // phase boundary.
+  result.trace.begin_phase("I");
+  for (std::int64_t v = 0; v < g.num_nodes(); ++v)
+    result.trace.record(v, true);
+  result.labels = afforest_cc(g, opts, nullptr, TraceProbe{{}, &result.trace});
   return result;
 }
 

@@ -6,9 +6,9 @@
 // software shim reproduces it exactly: TracedPi wraps the label array and
 // logs every load/store with (phase, thread, index, is_write).
 //
-// run_traced_sv / run_traced_afforest execute faithful mirrors of the
-// kernels through the shim and return the trace plus the resulting labels
-// (tests verify the traced runs still compute correct components).
+// run_traced_sv runs a serial copy of SV through the shim;
+// run_traced_afforest runs afforest_cc itself with a probe that records
+// every π access.  Both return the trace plus the resulting labels.
 #pragma once
 
 #include <cstdint>
@@ -99,10 +99,11 @@ struct TraceResult {
 /// H<i> (hook) and S<i> (shortcut).
 TraceResult run_traced_sv(const Graph& g);
 
-/// Afforest through the tracer.  Phases: I, per round L<i> / C<i>, then F
+/// afforest_cc(g, opts) through the tracer, for every option cell.  Phases:
+/// I, per sampling round L<i> / C<i> (the uniform pass is L1 / C1), then F
 /// (find largest component, if skipping), L* (final link), C* (final
-/// compress).  Mirrors NeighborRounds sampling and the PerVertex schedule
-/// only; UniformEdges sampling throws std::bad_variant_access.
+/// compress).  A CAS counts as one write, and compress(v) makes 2 + 2·hops
+/// accesses.  The paper's Fig 3 cell is opts.link = RootHook{}.
 TraceResult run_traced_afforest(const Graph& g, AfforestOptions opts = {});
 
 }  // namespace afforest

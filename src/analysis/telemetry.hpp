@@ -80,11 +80,12 @@ inline void set_enabled(bool on) {
 /// Aggregated view of every counter, summed over all thread blocks.
 /// Field semantics are documented in docs/BENCHMARKING.md's glossary.
 struct Counters {
-  std::uint64_t link_calls = 0;        ///< link() invocations
-  std::uint64_t link_retries = 0;      ///< extra climbing passes in link()
+  std::uint64_t link_calls = 0;        ///< link() + rem_splice() calls
+  std::uint64_t link_retries = 0;      ///< extra climbing passes in either
   std::uint64_t link_retry_peak = 0;   ///< deepest single-call retry chain
-  std::uint64_t cas_attempts = 0;      ///< root-hook CAS attempts in link()
-  std::uint64_t cas_failures = 0;      ///< lost CAS races in link()
+  std::uint64_t cas_attempts = 0;      ///< CASes: link() root hooks, and
+                                       ///< rem_splice() hooks and splices
+  std::uint64_t cas_failures = 0;      ///< lost CAS races in either
   std::uint64_t compress_calls = 0;    ///< compress() invocations
   std::uint64_t compress_hops = 0;     ///< total pointer-jump hops
   std::uint64_t phase3_vertices_skipped = 0;  ///< §IV-D skip: vertices

@@ -38,9 +38,14 @@
 // that phases 1 and 3 call on every edge: RootHook is link() (Fig 3), and
 // RemSplice, the default, is rem_splice().  Each splice lowers a parent on
 // the climbed path, so later unions and the compress passes walk shorter
-// paths.  Only afforest_cc offers the choice: IncrementalCC,
-// afforest_spanning_forest, the instrumented Table II / Fig 7 copies and
-// the serving engines call link() (docs/ALGORITHM.md, "Link choices").
+// paths.  Only afforest_cc offers the choice: IncrementalCC and the serving
+// engines call link(), and Table II, Fig 7 and the §IV-A forest run
+// afforest_cc pinned to RootHook (docs/ALGORITHM.md, "Link choices").
+//
+// Probes.  The primitives and the driver report what they do to a probe;
+// the default, TelemetryProbe, is the telemetry reporting.  Table II's
+// counters, the Fig 7 tracer and the §IV-A witness lists are probes on
+// this driver, so they observe the code afforest_cc runs.
 //
 // Why the §IV-D skip stays sound under splicing.  A splice moves a
 // non-root into the other tree before its old root is hooked, so a set is
@@ -125,15 +130,57 @@ struct AfforestPhaseTimes {
   }
 };
 
+/// Phase boundaries of Fig 5, as the driver announces them to a probe.
+enum class AfforestPhase {
+  kSample,         ///< sampling round r (the uniform pass is round 0)
+  kCompress,       ///< the compress after sampling round r
+  kFindLargest,    ///< sample_frequent_element (skip on only)
+  kFinalLink,      ///< link_remaining
+  kFinalCompress,  ///< the last compress
+};
+
+/// The default probe: the telemetry reporting, with empty access hooks.
+/// A probe sees
+///   read(i), write(i)  beside every atomic load, and every store or CAS
+///                      (one write, won or lost), of π[i];
+///   linked(u, v, merged, retries, cas_attempts, cas_failures)  once per
+///                      union, merged = this call's own CAS hooked a root;
+///   compressed(hops)   once per compress(v);
+///   skipped(edges, vertices)  once per phase-3 skip; the per-vertex
+///                      schedule reads the degree it needs only when
+///                      counts_skips() is true (for the default, when
+///                      telemetry is armed);
+///   phase(which, round, comp)  serially, just before each phase runs.
+/// A probe is a handle copied into every call: it keeps its tallies behind
+/// a pointer.  Other probes derive from this one and hide the hooks they
+/// observe.
+struct TelemetryProbe {
+  void read(std::int64_t) const {}
+  void write(std::int64_t) const {}
+  void linked(std::int64_t, std::int64_t, bool, std::uint64_t retries,
+              std::uint64_t cas_attempts, std::uint64_t cas_failures) const {
+    telemetry::on_link(retries, cas_attempts, cas_failures);
+  }
+  void compressed(std::uint64_t hops) const { telemetry::on_compress(hops); }
+  bool counts_skips() const { return telemetry::enabled(); }
+  void skipped(std::uint64_t edges, std::uint64_t vertices) const {
+    telemetry::on_phase3_skip(edges, vertices);
+  }
+  template <typename NodeID_>
+  void phase(AfforestPhase, std::int32_t, const pvector<NodeID_>&) const {}
+};
+
 /// Hooks the trees containing u and v (paper Fig 3).  Lock-free; safe to
 /// call concurrently on arbitrary edges.  Returns true iff this call's own
 /// CAS merged two trees (the §IV-A witness, see afforest_forest.hpp).
 // lint: parallel-context
-template <typename NodeID_>
-bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
+template <typename NodeID_, typename Probe = TelemetryProbe>
+bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp, Probe probe = {}) {
+  probe.read(u);
   NodeID_ p1 = atomic_load(comp[u]);
+  probe.read(v);
   NodeID_ p2 = atomic_load(comp[v]);
-  // Telemetry tallies live in registers and are published once per call
+  // Tallies live in registers and go to the probe once per call
   // (telemetry.hpp's zero-overhead contract keeps the dormant cost to one
   // relaxed flag load).
   std::uint64_t retries = 0, cas_attempts = 0, cas_failures = 0;
@@ -142,11 +189,13 @@ bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
   while (p1 != p2) {
     const NodeID_ high = std::max(p1, p2);
     const NodeID_ low = std::min(p1, p2);
+    probe.read(high);
     const NodeID_ p_high = atomic_load(comp[high]);
     // Already linked by another thread, or we win the CAS on the root.
     if (p_high == low) break;
     if (p_high == high) {
       ++cas_attempts;
+      probe.write(high);
       if (compare_and_swap(comp[high], high, low)) {
         merged = true;
         break;
@@ -155,10 +204,14 @@ bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
     }
     // Lost the race or high was not a root: climb one level and retry.
     ++retries;
-    p1 = atomic_load(comp[atomic_load(comp[high])]);
+    probe.read(high);
+    const NodeID_ up = atomic_load(comp[high]);
+    probe.read(up);
+    p1 = atomic_load(comp[up]);
+    probe.read(low);
     p2 = atomic_load(comp[low]);
   }
-  telemetry::on_link(retries, cas_attempts, cas_failures);
+  probe.linked(u, v, merged, retries, cas_attempts, cas_failures);
   return merged;
 }
 
@@ -171,13 +224,18 @@ bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
 /// edges.  A splice splits a set until the call returns, so code that reads
 /// the live forest between unions must use link() (see the header comment).
 // lint: parallel-context
-template <typename NodeID_>
-void rem_splice(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
-  // Tallies in registers, published once per call as in link().
+template <typename NodeID_, typename Probe = TelemetryProbe>
+void rem_splice(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp,
+                Probe probe = {}) {
+  const NodeID_ edge_u = u, edge_v = v;  // the climb moves u and v
+  // Tallies in registers, reported once per call as in link().
   std::uint64_t retries = 0, cas_attempts = 0, cas_failures = 0;
+  bool merged = false;
   // lint: bounded(every retry either terminates, advances down a finite chain, or loses a CAS to a thread that made progress)
   while (true) {
+    probe.read(u);
     NodeID_ p_u = atomic_load(comp[u]);
+    probe.read(v);
     NodeID_ p_v = atomic_load(comp[v]);
     if (p_u == p_v) break;
     // Keep the side with the larger parent in u.
@@ -186,27 +244,29 @@ void rem_splice(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
       std::swap(p_u, p_v);
     }
     ++cas_attempts;
+    probe.write(u);
     const bool won = compare_and_swap(comp[u], p_u, p_v);
     if (!won) ++cas_failures;
     if (u == p_u) {
-      if (won) break;  // hooked a root; a lost race re-reads both parents
+      merged = won;  // hooked a root; a lost race re-reads both parents
+      if (merged) break;
     } else {
       u = p_u;  // spliced (or lowered by another thread): climb
     }
     ++retries;
   }
-  telemetry::on_link(retries, cas_attempts, cas_failures);
+  probe.linked(edge_u, edge_v, merged, retries, cas_attempts, cas_failures);
 }
 
 /// The union of link choice Link: link() for RootHook, rem_splice() for
 /// RemSplice.
 // lint: parallel-context
-template <typename Link, typename NodeID_>
-void unite(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
+template <typename Link, typename NodeID_, typename Probe>
+void unite(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp, Probe probe) {
   if constexpr (std::is_same_v<Link, RemSplice>)
-    rem_splice(u, v, comp);
+    rem_splice(u, v, comp, probe);
   else
-    link(u, v, comp);
+    link(u, v, comp, probe);
 }
 
 /// Compresses v's path so comp[v] points directly at its root (Fig 2b).
@@ -216,46 +276,53 @@ void unite(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp) {
 /// tests/fuzz/schedule_stress_test.cpp).  On x86 these lower to the same
 /// mov instructions as plain accesses.
 // lint: parallel-context
-template <typename NodeID_>
-void compress(NodeID_ v, pvector<NodeID_>& comp) {
+template <typename NodeID_, typename Probe = TelemetryProbe>
+void compress(NodeID_ v, pvector<NodeID_>& comp, Probe probe = {}) {
+  probe.read(v);
   NodeID_ p = atomic_load(comp[v]);
+  probe.read(p);
   NodeID_ gp = atomic_load(comp[p]);
   std::uint64_t hops = 0;
   // lint: bounded(pointer jumping strictly shortens the path to the root; Theorem 2)
   while (p != gp) {
+    probe.write(v);
     atomic_store(comp[v], gp);
     p = gp;
+    probe.read(p);
     gp = atomic_load(comp[p]);
     ++hops;
   }
-  telemetry::on_compress(hops);
+  probe.compressed(hops);
 }
 
 /// Runs compress on every vertex in parallel (Theorem 2).
-template <typename NodeID_>
-void compress_all(pvector<NodeID_>& comp) {
+template <typename NodeID_, typename Probe = TelemetryProbe>
+void compress_all(pvector<NodeID_>& comp, Probe probe = {}) {
   const std::int64_t n = static_cast<std::int64_t>(comp.size());
 #pragma omp parallel for schedule(dynamic, 16384)
   for (std::int64_t v = 0; v < n; ++v)
-    compress(static_cast<NodeID_>(v), comp);
+    compress(static_cast<NodeID_>(v), comp, probe);
 }
 
 /// Probabilistic mode of comp[]: samples `count` entries uniformly at
 /// random and returns the most frequent value — the likely label of the
 /// giant intermediate component.  Requires depth-1 trees for the returned
 /// label to be a root (guaranteed after compress_all).
-template <typename NodeID_>
+template <typename NodeID_, typename Probe = TelemetryProbe>
 NodeID_ sample_frequent_element(const pvector<NodeID_>& comp,
                                 std::int32_t count = 1024,
-                                std::uint64_t seed = 0xAFF0) {
+                                std::uint64_t seed = 0xAFF0,
+                                Probe probe = {}) {
   std::unordered_map<NodeID_, std::int32_t> counts;
   counts.reserve(static_cast<std::size_t>(count));
   Xoshiro256 rng(seed);
   for (std::int32_t i = 0; i < count; ++i) {
     const auto idx = rng.next_bounded(comp.size());
+    probe.read(static_cast<std::int64_t>(idx));
     ++counts[comp[idx]];
   }
-  NodeID_ best = comp.empty() ? NodeID_{0} : comp[0];
+  // No samples (count 0) gives 0, which is π(0) under Invariant 1.
+  NodeID_ best = 0;
   std::int32_t best_count = -1;
   for (const auto& [label, c] : counts) {
     if (c > best_count) {
@@ -273,9 +340,10 @@ NodeID_ sample_frequent_element(const pvector<NodeID_>& comp,
 /// linking, and a plain read racing their CAS is UB even though any
 /// snapshot is acceptable.
 // lint: parallel-context
-template <typename NodeID_>
+template <typename NodeID_, typename Probe = TelemetryProbe>
 bool should_skip(NodeID_ v, const pvector<NodeID_>& comp,
-                 const AfforestOptions& opts, NodeID_ c) {
+                 const AfforestOptions& opts, NodeID_ c, Probe probe = {}) {
+  if (opts.skip_largest) probe.read(v);
   return opts.skip_largest && atomic_load(comp[v]) == c;
 }
 
@@ -338,14 +406,16 @@ pvector<EdgeChunk<NodeID_>> plan_chunks(const CSRGraph<NodeID_>& g,
 }
 
 /// Phase 3 of Fig 5 (lines 11–15), on either schedule: every vertex not
-/// skipped links its out-neighbors from index `start` onward and, on
-/// directed graphs, its full in-neighborhood — an arc u->v whose tail u
-/// was skipped is still reached from v's in-edges, preserving Theorem 3's
-/// both-directions argument.  Every edge goes through unite<Link>.
-template <typename Link, typename NodeID_>
+/// skipped links its out-neighbors from index `start` onward.  With the
+/// skip on, a directed graph's vertices not skipped also link their full
+/// in-neighborhoods: an arc u->v whose tail u was skipped is still reached
+/// from v's in-edges, preserving Theorem 3's both-directions argument.
+/// Without the skip every arc is linked from its tail, so there is no
+/// in-edge pass.  Every edge goes through unite<Link>.
+template <typename Link, typename NodeID_, typename Probe = TelemetryProbe>
 void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
                     std::int32_t start, const AfforestOptions& opts,
-                    NodeID_ c) {
+                    NodeID_ c, Probe probe = {}) {
   using OffsetT = typename CSRGraph<NodeID_>::OffsetT;
   const std::int64_t n = g.num_nodes();
   if (const auto* chunked = std::get_if<Chunked>(&opts.schedule)) {
@@ -354,57 +424,61 @@ void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
 #pragma omp parallel for schedule(dynamic, 64)
     for (std::int64_t i = 0; i < nc; ++i) {
       const EdgeChunk<NodeID_>& chunk = chunks[i];
-      if (should_skip(chunk.vertex, comp, opts, c)) {
+      if (should_skip(chunk.vertex, comp, opts, c, probe)) {
         // A vertex counts as skipped once, at its first span.
-        telemetry::on_phase3_skip(
-            static_cast<std::uint64_t>(chunk.end - chunk.begin),
-            chunk.begin == start ? 1 : 0);
+        probe.skipped(static_cast<std::uint64_t>(chunk.end - chunk.begin),
+                      chunk.begin == start ? 1 : 0);
         continue;
       }
       for (std::int64_t k = chunk.begin; k < chunk.end; ++k)
-        unite<Link>(chunk.vertex, g.neighbor(chunk.vertex, k), comp);
+        unite<Link>(chunk.vertex, g.neighbor(chunk.vertex, k), comp, probe);
     }
   } else {
 #pragma omp parallel for schedule(dynamic, 1024)
     for (std::int64_t v = 0; v < n; ++v) {
-      if (should_skip(static_cast<NodeID_>(v), comp, opts, c)) {
+      if (should_skip(static_cast<NodeID_>(v), comp, opts, c, probe)) {
         // Telemetry quantifies §IV-D directly: edges the skip avoided are
         // the vertex's remaining out-neighborhood (the in-neighborhood is
         // handled from the other endpoint, as in Theorem 3's argument).
-        // The degree load lives behind enabled() so dormant runs keep the
-        // skip branch free of offset-array reads — this is the hottest
-        // path on giant-component graphs and the zero-overhead-when-off
-        // contract must hold here.
-        if (telemetry::enabled()) {
+        // The degree load lives behind counts_skips() (for the default
+        // probe, telemetry::enabled()) so dormant runs keep the skip branch
+        // free of offset-array reads — this is the hottest path on
+        // giant-component graphs and the zero-overhead-when-off contract
+        // must hold here.
+        if (probe.counts_skips()) {
           const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
-          telemetry::on_phase3_skip(
-              deg > start ? static_cast<std::uint64_t>(deg - start) : 0);
+          probe.skipped(
+              deg > start ? static_cast<std::uint64_t>(deg - start) : 0, 1);
         }
         continue;
       }
       const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
       for (OffsetT k = start; k < deg; ++k)
         unite<Link>(static_cast<NodeID_>(v),
-                    g.neighbor(static_cast<NodeID_>(v), k), comp);
+                    g.neighbor(static_cast<NodeID_>(v), k), comp, probe);
     }
   }
-  if (!g.directed()) return;
+  if (!g.directed() || !opts.skip_largest) return;
 #pragma omp parallel for schedule(dynamic, 1024)
   for (std::int64_t v = 0; v < n; ++v) {
-    if (should_skip(static_cast<NodeID_>(v), comp, opts, c)) continue;
+    if (should_skip(static_cast<NodeID_>(v), comp, opts, c, probe)) continue;
     for (NodeID_ u : g.in_neigh(static_cast<NodeID_>(v)))
-      unite<Link>(static_cast<NodeID_>(v), u, comp);
+      unite<Link>(static_cast<NodeID_>(v), u, comp, probe);
   }
 }
 
 namespace detail {
 
-/// Fig 5's phases with every union through unite<Link>; afforest_cc
-/// validates the options and picks Link.
-template <typename Link, typename NodeID_>
+/// Fig 5's phases with every union through unite<Link>, reported to
+/// `probe`.  afforest_cc validates the options and picks Link.  Interleave
+/// = false drops the compress after each sampling pass; only
+/// afforest_no_interleave asks for that.
+template <typename Link, bool Interleave = true, typename NodeID_,
+          typename Probe>
 ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
                                          const AfforestOptions& opts,
-                                         AfforestPhaseTimes* times) {
+                                         AfforestPhaseTimes* times,
+                                         Probe probe) {
   if (times != nullptr) *times = {};
   // The one phase clock: each ScopedPhase records its afforest.* name when
   // telemetry is armed and adds to the matching *times field when given.
@@ -418,10 +492,11 @@ ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
                                        slot(&AfforestPhaseTimes::init_s));
     comp = identity_labels<NodeID_>(n);
   }
-  const auto compress_phase = [&] {
+  const auto compress_phase = [&](AfforestPhase which, std::int32_t round) {
+    probe.phase(which, round, comp);
     const telemetry::ScopedPhase phase("afforest.compress",
                                        slot(&AfforestPhaseTimes::compress_s));
-    compress_all(comp);
+    compress_all(comp, probe);
   };
 
   // Phase 1: subgraph sampling (Fig 5 lines 2–9).  Neighbor rounds sample
@@ -432,6 +507,7 @@ ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
   const std::int32_t start =
       rounds != nullptr ? std::max(std::int32_t{0}, rounds->k) : 0;
   for (std::int32_t r = 0; r < start; ++r) {
+    probe.phase(AfforestPhase::kSample, r, comp);
     {
       const telemetry::ScopedPhase phase(
           "afforest.sampling", slot(&AfforestPhaseTimes::sampling_s));
@@ -439,13 +515,14 @@ ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
       for (std::int64_t v = 0; v < n; ++v) {
         if (r < g.out_degree(static_cast<NodeID_>(v))) {
           unite<Link>(static_cast<NodeID_>(v),
-                      g.neighbor(static_cast<NodeID_>(v), r), comp);
+                      g.neighbor(static_cast<NodeID_>(v), r), comp, probe);
         }
       }
     }
-    compress_phase();
+    if constexpr (Interleave) compress_phase(AfforestPhase::kCompress, r);
   }
   if (rounds == nullptr) {
+    probe.phase(AfforestPhase::kSample, 0, comp);
     {
       const telemetry::ScopedPhase phase(
           "afforest.sampling", slot(&AfforestPhaseTimes::sampling_s));
@@ -457,29 +534,32 @@ ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
           SplitMix64 hash((static_cast<std::uint64_t>(v) << 32) ^
                           static_cast<std::uint64_t>(w) ^ opts.sample_seed);
           if (hash.next() <= threshold)
-            unite<Link>(static_cast<NodeID_>(v), w, comp);
+            unite<Link>(static_cast<NodeID_>(v), w, comp, probe);
         }
       }
     }
-    compress_phase();
+    if constexpr (Interleave) compress_phase(AfforestPhase::kCompress, 0);
   }
 
   // Phase 2: identify the giant intermediate component (Fig 5 line 10).
   NodeID_ c = 0;
   if (opts.skip_largest && n > 0) {
+    probe.phase(AfforestPhase::kFindLargest, 0, comp);
     const telemetry::ScopedPhase phase(
         "afforest.find_largest", slot(&AfforestPhaseTimes::find_component_s));
-    c = sample_frequent_element(comp, opts.sample_count, opts.sample_seed);
+    c = sample_frequent_element(comp, opts.sample_count, opts.sample_seed,
+                                probe);
   }
 
   // Phase 3: link remaining edges, skipping vertices inside c.
+  probe.phase(AfforestPhase::kFinalLink, 0, comp);
   {
     const telemetry::ScopedPhase phase(
         "afforest.final_link", slot(&AfforestPhaseTimes::final_link_s));
-    link_remaining<Link>(g, comp, start, opts, c);
+    link_remaining<Link>(g, comp, start, opts, c, probe);
   }
 
-  compress_phase();
+  compress_phase(AfforestPhase::kFinalCompress, 0);
   return comp;
 }
 
@@ -488,24 +568,27 @@ ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
 /// Full Afforest (paper Fig 5) for every AfforestOptions cell.  Returns
 /// component labels (weakly connected on a directed graph); labels are the
 /// minimum vertex id in each component (a property of Invariant 1 +
-/// convergence, relied on by tests).  Fills `times` when given.  Throws
-/// std::invalid_argument before any work for a Chunked size <= 0, or for a
-/// directed graph without in-edges (phase 3 reaches a skipped tail's arcs
+/// convergence, relied on by tests).  Fills `times` when given, and
+/// reports to `probe` (see TelemetryProbe).  Throws std::invalid_argument
+/// before any work for a Chunked size <= 0, or for a directed graph
+/// without in-edges when skipping (phase 3 reaches a skipped tail's arcs
 /// only through them).
-template <typename NodeID_>
+template <typename NodeID_, typename Probe = TelemetryProbe>
 ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
                                      const AfforestOptions& opts = {},
-                                     AfforestPhaseTimes* times = nullptr) {
+                                     AfforestPhaseTimes* times = nullptr,
+                                     Probe probe = {}) {
   const auto* chunked = std::get_if<Chunked>(&opts.schedule);
   if (chunked != nullptr && chunked->size <= 0)
     throw std::invalid_argument("afforest_cc: Chunked size must be positive");
-  if (!g.has_in_edges())
+  if (opts.skip_largest && !g.has_in_edges())
     throw std::invalid_argument(
         "afforest_cc: directed graph without in-edges (build it with "
         "build_directed, or BuilderOptions::build_in_edges)");
   return std::visit(
       [&](auto choice) {
-        return detail::afforest_phases<decltype(choice)>(g, opts, times);
+        return detail::afforest_phases<decltype(choice)>(g, opts, times,
+                                                         probe);
       },
       opts.link);
 }
@@ -519,6 +602,21 @@ ComponentLabels<NodeID_> afforest_no_skip(const CSRGraph<NodeID_>& g,
   opts.sampling = NeighborRounds{neighbor_rounds};
   opts.skip_largest = false;
   return afforest_cc(g, opts);
+}
+
+/// Afforest without the compress after each sampling round — the "no
+/// interleave" row of bench_ablation's [2]: trees deepen across rounds and
+/// the final link climbs them.  RootHook and no skip, so it differs from
+/// afforest_instrumented's cell only in those compresses.
+template <typename NodeID_, typename Probe = TelemetryProbe>
+ComponentLabels<NodeID_> afforest_no_interleave(
+    const CSRGraph<NodeID_>& g, std::int32_t neighbor_rounds = 2,
+    Probe probe = {}) {
+  AfforestOptions opts;
+  opts.sampling = NeighborRounds{neighbor_rounds};
+  opts.link = RootHook{};
+  opts.skip_largest = false;
+  return detail::afforest_phases<RootHook, false>(g, opts, nullptr, probe);
 }
 
 }  // namespace afforest

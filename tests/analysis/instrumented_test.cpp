@@ -30,16 +30,17 @@ TEST(MaxTreeDepth, EmptyForest) {
 TEST(LinkCounted, TrivialEdgeCostsOneIteration) {
   auto comp = identity_labels<NodeID>(4);
   link<NodeID>(0, 1, comp);
-  std::int64_t iters = 0;
-  link_counted<NodeID>(0, 1, comp, iters);  // already linked
-  EXPECT_EQ(iters, 1);
+  LinkCounter counter;
+  link<NodeID>(0, 1, comp, counter.probe());  // already linked
+  EXPECT_EQ(counter.stats().link_calls, 1);
+  EXPECT_EQ(counter.stats().local_iterations, 1);
 }
 
 TEST(LinkCounted, MergeCountsWork) {
   auto comp = identity_labels<NodeID>(4);
-  std::int64_t iters = 0;
-  link_counted<NodeID>(0, 3, comp, iters);
-  EXPECT_GE(iters, 1);
+  LinkCounter counter;
+  link<NodeID>(0, 3, comp, counter.probe());
+  EXPECT_GE(counter.stats().local_iterations, 1);
   EXPECT_EQ(comp[3], 0);
 }
 

@@ -78,7 +78,9 @@ TEST(Locality, AfforestLinkRoundsMoreSequentialThanSVHooks) {
   // Quantitative §V-C: Afforest's neighbor rounds scan vertices in order,
   // SV's hooks chase labels.  Compare phase L1 vs H1 on the same graph.
   const Graph g = make_suite_graph("urand", 10);
-  const auto aff = run_traced_afforest(g);
+  AfforestOptions fig3_cell;
+  fig3_cell.link = RootHook{};
+  const auto aff = run_traced_afforest(g, fig3_cell);
   const auto sv = run_traced_sv(g);
   auto phase_id = [](const MemTrace& t, const std::string& name) {
     const auto& names = t.phase_names();

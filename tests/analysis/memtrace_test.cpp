@@ -108,21 +108,27 @@ TEST(TracedSV, PhasesFollowInitHookShortcutPattern) {
   EXPECT_EQ(names[2], "S1");
 }
 
+// The paper's Fig 3 cell, which Fig 7 traces.
+AfforestOptions fig3_cell(bool skip = true) {
+  AfforestOptions opts;
+  opts.link = RootHook{};
+  opts.skip_largest = skip;
+  return opts;
+}
+
 TEST(TracedAfforest, ComputesCorrectComponents) {
   const Graph g = make_suite_graph("web", 9);
-  const auto result = run_traced_afforest(g);
+  const auto result = run_traced_afforest(g, fig3_cell());
   EXPECT_TRUE(labels_equivalent(result.labels, union_find_cc(g)));
 }
 
 TEST(TracedAfforest, SkippingVariantHasFPhase) {
   const Graph g = make_suite_graph("urand", 8);
-  const auto with_skip = run_traced_afforest(g);
+  const auto with_skip = run_traced_afforest(g, fig3_cell());
   const auto& names = with_skip.trace.phase_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "F"), names.end());
 
-  AfforestOptions opts;
-  opts.skip_largest = false;
-  const auto no_skip = run_traced_afforest(g, opts);
+  const auto no_skip = run_traced_afforest(g, fig3_cell(false));
   const auto& names2 = no_skip.trace.phase_names();
   EXPECT_EQ(std::find(names2.begin(), names2.end(), "F"), names2.end());
 }
@@ -130,10 +136,8 @@ TEST(TracedAfforest, SkippingVariantHasFPhase) {
 TEST(TracedAfforest, SkippingReducesFinalLinkAccesses) {
   // The Fig 7b vs 7c contrast: component skipping shrinks the L* phase.
   const Graph g = make_suite_graph("urand", 10);
-  AfforestOptions no_skip;
-  no_skip.skip_largest = false;
-  const auto skip_run = run_traced_afforest(g);
-  const auto noskip_run = run_traced_afforest(g, no_skip);
+  const auto skip_run = run_traced_afforest(g, fig3_cell());
+  const auto noskip_run = run_traced_afforest(g, fig3_cell(false));
   auto lstar_accesses = [](const TraceResult& r) {
     const auto& names = r.trace.phase_names();
     for (std::size_t i = 0; i < names.size(); ++i)
@@ -148,7 +152,7 @@ TEST(TracedComparison, SVTouchesPiMoreThanAfforest) {
   // accesses.
   const Graph g = make_suite_graph("urand", 9);
   const auto sv = run_traced_sv(g);
-  const auto aff = run_traced_afforest(g);
+  const auto aff = run_traced_afforest(g, fig3_cell());
   EXPECT_GT(sv.trace.total_accesses(), aff.trace.total_accesses());
 }
 

@@ -2,9 +2,11 @@
 // topologies, plus its documented label convention and edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "cc/afforest.hpp"
 #include "cc/union_find.hpp"
@@ -164,6 +166,33 @@ TEST(Afforest, DeterministicLabelsAcrossRuns) {
 TEST(AfforestNoSkip, MatchesSkippingVariant) {
   const Graph g = make_suite_graph("web", 11);
   EXPECT_TRUE(labels_equivalent(afforest_cc(g), afforest_no_skip(g)));
+}
+
+TEST(AfforestNoInterleave, RunsOnlyTheFinalCompress) {
+  // The ablation drops the compress after each sampling round, so the
+  // probe sees the rounds, the final link and one compress; the labels are
+  // still the component minima.
+  struct Phases : TelemetryProbe {
+    std::vector<AfforestPhase>* seen;
+
+    void phase(AfforestPhase which, std::int32_t,
+               const pvector<NodeID>&) const {
+      seen->push_back(which);
+    }
+  };
+  const std::vector<AfforestPhase> want = {
+      AfforestPhase::kSample, AfforestPhase::kSample,
+      AfforestPhase::kFinalLink, AfforestPhase::kFinalCompress};
+  for (const auto* name : {"road", "web", "kron"}) {
+    const Graph g = make_suite_graph(name, 10);
+    std::vector<AfforestPhase> seen;
+    const auto labels = afforest_no_interleave(g, 2, Phases{{}, &seen});
+    const auto truth = union_find_cc(g);
+    EXPECT_TRUE(std::equal(labels.begin(), labels.end(), truth.begin(),
+                           truth.end()))
+        << name;
+    EXPECT_EQ(seen, want) << name;
+  }
 }
 
 TEST(AfforestUniformSampling, ThresholdSaturatesAtFullSampling) {

@@ -39,14 +39,16 @@ TEST(AdversarialPath, HighToLowOrderStillCorrect) {
 
 TEST(AdversarialStar, SequentialLinkOrderInducesWalks) {
   // Replay the §V-A scenario: process the adversarial star edge order
-  // serially through the counted link; total iterations must exceed the
-  // edge count (some calls walk chains), yet convergence holds.
+  // serially through link() with Table II's counting probe; total
+  // iterations must exceed the edge count (some calls walk chains), yet
+  // convergence holds.
   const std::int64_t n = 256;
   const auto edges = adversarial_star_edges<NodeID>(n);
   auto comp = identity_labels<NodeID>(n);
-  std::int64_t iters = 0;
-  for (const auto& [u, v] : edges) link_counted(u, v, comp, iters);
-  EXPECT_GT(iters, static_cast<std::int64_t>(edges.size()));
+  LinkCounter counter;
+  for (const auto& [u, v] : edges) link(u, v, comp, counter.probe());
+  EXPECT_GT(counter.stats().local_iterations,
+            static_cast<std::int64_t>(edges.size()));
   compress_all(comp);
   for (std::int64_t v = 0; v < n; ++v) ASSERT_EQ(comp[v], 0);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "cc/afforest.hpp"
+#include "cc/afforest_forest.hpp"
 #include "cc/union_find.hpp"
 #include "cc/verifier.hpp"
 #include "graph/builder.hpp"
@@ -91,6 +92,32 @@ TEST(WeaklyCC, SkippingStaysCorrectOnDirectedGraphs) {
     ASSERT_TRUE(labels_equivalent(afforest_cc(g, opts), union_find_cc(sym)))
         << "skip=" << skip;
   }
+}
+
+TEST(WeaklyCC, NoSkipSolvesWithoutInEdges) {
+  // Without the skip every arc is linked from its tail, so neither the
+  // in-edge pass nor in-edges are needed.
+  const auto edges = generate_uniform_edges<NodeID>(4000, 20000, 5);
+  BuilderOptions build;
+  build.symmetrize = false;
+  build.build_in_edges = false;
+  const auto g = Builder<NodeID>(build).build(edges, 4000);
+  ASSERT_FALSE(g.has_in_edges());
+  const auto want = union_find_cc(edges, 4000);
+  const auto same = [&](const ComponentLabels<NodeID>& got) {
+    return std::equal(got.begin(), got.end(), want.begin(), want.end());
+  };
+  for (const auto link : {decltype(AfforestOptions::link){RootHook{}},
+                          decltype(AfforestOptions::link){RemSplice{}}}) {
+    AfforestOptions opts;
+    opts.link = link;
+    opts.skip_largest = false;
+    EXPECT_TRUE(same(afforest_cc(g, opts))) << "link " << link.index();
+  }
+  const auto forest = afforest_spanning_forest(g);
+  EXPECT_TRUE(same(forest.labels));
+  EXPECT_EQ(static_cast<std::int64_t>(forest.forest.size()),
+            g.num_nodes() - count_components(want));
 }
 
 TEST(WeaklyCC, IsolatedAndSourceSinkVertices) {

@@ -78,7 +78,9 @@ TEST(PaperClaims, SkipAvoidsMajorityOfEdgesOnGiantComponentGraphs) {
 TEST(PaperClaims, MemoryAccessAdvantage) {
   const Graph g = make_suite_graph("urand", 11);
   const auto sv = run_traced_sv(g);
-  const auto aff = run_traced_afforest(g);
+  AfforestOptions fig3_cell;  // the cell Fig 7 traces
+  fig3_cell.link = RootHook{};
+  const auto aff = run_traced_afforest(g, fig3_cell);
   EXPECT_GT(sv.trace.total_accesses(), 2 * aff.trace.total_accesses());
   const auto sv_loc = compute_locality(sv.trace, -1, g.num_nodes());
   const auto aff_loc = compute_locality(aff.trace, -1, g.num_nodes());
