@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of Afforest's primitives and the graph
 // substrate: link on pre-merged vs fresh trees, compress on shallow vs deep
-// forests, sample_frequent_element, CSR build, and full algorithm runs on a
-// fixed graph.
+// forests, sample_frequent_element, CSR build (urand and Kronecker rows),
+// and full algorithm runs on a fixed graph.
 //
 // Custom main (instead of benchmark_main) so the binary shares the harness
 // convention: --json <path> mirrors every benchmark's per-iteration real
@@ -17,6 +17,7 @@
 #include "cc/afforest.hpp"
 #include "cc/registry.hpp"
 #include "graph/builder.hpp"
+#include "graph/generators/kronecker.hpp"
 #include "graph/generators/uniform.hpp"
 #include "graph/generators/suite.hpp"
 
@@ -90,6 +91,21 @@ void BM_BuildCSR(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8 * n);
 }
 BENCHMARK(BM_BuildCSR)->Range(1 << 10, 1 << 15);
+
+// Kronecker rows are skewed: at scales 12-16, 31-48% of the deduplicated
+// entries sit in rows of 256 or more, which the builder radix-sorts, where
+// urand's rows average 16 entries and never reach that path.
+void BM_BuildCSRKron(benchmark::State& state) {
+  const auto scale = static_cast<int>(state.range(0));
+  const auto edges = generate_kronecker_edges<NodeID>(scale, 16, 1);
+  for (auto _ : state) {
+    auto g = build_undirected(edges, std::int64_t{1} << scale);
+    benchmark::DoNotOptimize(g.num_stored_edges());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_BuildCSRKron)->DenseRange(12, 16, 2);
 
 void BM_FullAlgorithm(benchmark::State& state, const char* algo_name) {
   static const Graph g = make_suite_graph("kron", 14);

@@ -135,8 +135,8 @@ TraceResult run_traced_sv(const Graph& g) {
   int iter = 0;
   while (change) {
     change = false;
-    ++iter;
-    result.trace.begin_phase("H" + std::to_string(iter));
+    const std::string round = std::to_string(++iter);
+    result.trace.begin_phase("H" + round);
     for (std::int64_t u = 0; u < g.num_nodes(); ++u) {
       for (NodeID v : g.out_neigh(static_cast<NodeID>(u))) {
         const NodeID comp_u = pi.load(u);
@@ -150,7 +150,7 @@ TraceResult run_traced_sv(const Graph& g) {
         }
       }
     }
-    result.trace.begin_phase("S" + std::to_string(iter));
+    result.trace.begin_phase("S" + round);
     for (std::int64_t v = 0; v < g.num_nodes(); ++v) {
       while (pi.load(v) != pi.load(pi.load(v))) pi.store(v, pi.load(pi.load(v)));
     }

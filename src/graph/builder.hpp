@@ -7,15 +7,23 @@
 //   3. exclusive prefix sum over degrees → row offsets
 //   4. fill the rows owner-computes: each thread owns a contiguous row range
 //      holding ~1/T of the entries, scans the whole edge list and stores
-//      only its own rows' entries through plain cursors.  No store needs a
-//      lock, and every row lists its entries in edge-list order at any team
-//      size.
+//      only its own rows' entries through plain cursors.  One unsigned
+//      compare, `row - lo < span`, tests ownership, so an entry takes one
+//      data-dependent branch, not two.  No store needs a lock, and every
+//      row lists its entries in edge-list order at any team size.
 //   5. sort each row (optional, on by default: sorted rows make the
 //      "first appearing neighbors" used for neighbor sampling deterministic
-//      and improve locality)
+//      and improve locality).  Rows of kRadixSortMinRow (256) to
+//      kRadixScratchMaxRow (2^20) entries are LSD radix-sorted on 11-bit
+//      digits, ⌈bits(|V| - 1) / 11⌉ passes, each thread through its own
+//      scratch slice sized to the longest such row.  Other rows keep
+//      std::sort: short ones sort faster that way, and the upper cutoff
+//      caps the scratch.
 //   6. remove duplicate edges (optional): std::unique each sorted row in
-//      place, prefix-sum the kept degrees and shift the rows left (a row
-//      never moves right), so no second neighbor array is allocated
+//      place, then one serial pass shifts the rows left (a row never moves
+//      right) and rewrites the offsets in place with a running write
+//      cursor, so neither a second neighbor array nor a second offsets
+//      array is allocated
 // Directed builds then derive the in-edge rows from the final out-rows with
 // the same count, prefix sum and fill; the fill reads sources in ascending
 // order, so every in-row comes out sorted.
@@ -29,8 +37,12 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "graph/csr_graph.hpp"
@@ -54,6 +66,13 @@ template <typename NodeID_>
 class Builder {
  public:
   using OffsetT = std::int64_t;
+
+  /// Rows of at least this many entries are radix-sorted, shorter ones
+  /// std::sort-ed.  Fixed: the output is the same either way.
+  static constexpr std::size_t kRadixSortMinRow = 256;
+  /// Rows longer than this keep std::sort, so a hub row cannot grow the
+  /// radix scratch (one slice of this many entries per thread at most).
+  static constexpr std::size_t kRadixScratchMaxRow = std::size_t{1} << 20;
 
   explicit Builder(BuilderOptions opts = {}) : opts_(opts) {
     if (opts_.remove_duplicates && !opts_.sort_neighbors)
@@ -94,18 +113,8 @@ class Builder {
     pvector<OffsetT> offsets = parallel_prefix_sum(degrees);
     pvector<NodeID_> neighbors = fill_rows(offsets, degrees, ne, edge_entries);
 
-    if (opts_.sort_neighbors) {
-#pragma omp parallel for schedule(dynamic, 64)
-      for (std::int64_t v = 0; v < num_nodes; ++v) {
-        NodeID_* first = neighbors.data() + offsets[v];
-        NodeID_* last = neighbors.data() + offsets[v + 1];
-        std::sort(first, last);
-        if (opts_.remove_duplicates)
-          degrees[v] = std::unique(first, last) - first;
-      }
-    }
-    if (opts_.remove_duplicates)
-      offsets = shift_rows_left(offsets, degrees, neighbors);
+    if (opts_.sort_neighbors) sort_rows(offsets, neighbors, degrees);
+    if (opts_.remove_duplicates) shift_rows_left(offsets, degrees, neighbors);
 
     if (opts_.symmetrize || !opts_.build_in_edges)
       return CSRGraph<NodeID_>(num_nodes, std::move(offsets),
@@ -141,6 +150,9 @@ class Builder {
   }
 
  private:
+  /// 2^11 bucket counts (8 KiB) stay in L1; int32 ids take at most 3 passes.
+  static constexpr int kRadixDigitBits = 11;
+
   [[nodiscard]] static OffsetT infer_num_nodes(
       const EdgeList<NodeID_>& edges) {
     NodeID_ max_id = -1;
@@ -195,33 +207,124 @@ class Builder {
       const int t = omp_get_thread_num();
       const std::int64_t lo = row_boundary(offsets, t, team);
       const std::int64_t hi = row_boundary(offsets, t + 1, team);
+      const auto span = static_cast<std::uint64_t>(hi - lo);
       // Fault this thread's slice in row order before the scattered stores.
       std::fill(out + offsets[lo], out + offsets[hi], NodeID_{0});
       std::copy(offsets.data() + lo, offsets.data() + hi, cursor + lo);
+      // One unsigned compare tests lo <= row < hi, so each entry takes a
+      // single ownership branch rather than two.
       for (std::int64_t i = 0; i < num_items; ++i)
         entries(i, [&](NodeID_ row, NodeID_ value) {
-          if (row >= lo && row < hi) out[cursor[row]++] = value;
+          if (static_cast<std::uint64_t>(row - lo) < span)
+            out[cursor[row]++] = value;
         });
     }
     return neighbors;
   }
 
+  /// Sorts every row ascending; a deduplicating build then std::unique-s
+  /// each row and leaves its kept length in kept[v].  Rows of
+  /// kRadixSortMinRow to kRadixScratchMaxRow entries are radix-sorted, each
+  /// thread through its own slice of one scratch array allocated before the
+  /// parallel region.
+  void sort_rows(const pvector<OffsetT>& offsets, pvector<NodeID_>& neighbors,
+                 pvector<OffsetT>& kept) const {
+    const std::int64_t n = static_cast<std::int64_t>(kept.size());
+    const int passes = radix_passes(n);
+    const std::size_t slice = radix_slice(offsets);
+    pvector<NodeID_> scratch(slice *
+                             static_cast<std::size_t>(omp_get_max_threads()));
+#pragma omp parallel
+    {
+      NodeID_* const own = scratch.data() + slice * omp_get_thread_num();
+#pragma omp for schedule(dynamic, 64)
+      for (std::int64_t v = 0; v < n; ++v) {
+        NodeID_* const first = neighbors.data() + offsets[v];
+        NodeID_* const last = neighbors.data() + offsets[v + 1];
+        const auto len = static_cast<std::size_t>(last - first);
+        if (len >= kRadixSortMinRow && len <= slice)
+          radix_sort(first, last, own, passes);
+        else
+          std::sort(first, last);
+        if (opts_.remove_duplicates)
+          kept[v] = std::unique(first, last) - first;
+      }
+    }
+  }
+
+  /// Digit passes that sort ids in [0, num_nodes).
+  [[nodiscard]] static int radix_passes(OffsetT num_nodes) {
+    const int bits = num_nodes > 1
+        ? std::bit_width(static_cast<std::uint64_t>(num_nodes - 1))
+        : 0;
+    return (bits + kRadixDigitBits - 1) / kRadixDigitBits;
+  }
+
+  /// Entries of radix scratch each thread needs: the longest row, or 0 when
+  /// no row reaches kRadixSortMinRow; rows beyond kRadixScratchMaxRow do
+  /// not count, since they keep std::sort.
+  [[nodiscard]] static std::size_t radix_slice(
+      const pvector<OffsetT>& offsets) {
+    const std::int64_t n = static_cast<std::int64_t>(offsets.size()) - 1;
+    OffsetT longest = 0;
+#pragma omp parallel for reduction(max : longest) schedule(static)
+    for (std::int64_t v = 0; v < n; ++v) {
+      const OffsetT len = offsets[v + 1] - offsets[v];
+      if (len <= static_cast<OffsetT>(kRadixScratchMaxRow))
+        longest = std::max(longest, len);
+    }
+    const auto slice = static_cast<std::size_t>(longest);
+    return slice >= kRadixSortMinRow ? slice : 0;
+  }
+
+  /// LSD radix sort of [first, last) on kRadixDigitBits-bit digits, least
+  /// significant first, ping-ponging through `scratch` (at least
+  /// last - first entries).  Ids are non-negative, so their unsigned digits
+  /// order them.  After an odd number of passes the sorted row sits in
+  /// `scratch` and is copied back.
+  static void radix_sort(NodeID_* first, NodeID_* last, NodeID_* scratch,
+                         int passes) {
+    using Digits = std::make_unsigned_t<NodeID_>;
+    constexpr std::size_t kBuckets = std::size_t{1} << kRadixDigitBits;
+    const auto len = static_cast<std::size_t>(last - first);
+    NodeID_* src = first;
+    NodeID_* dst = scratch;
+    for (int pass = 0; pass < passes; ++pass) {
+      const int shift = pass * kRadixDigitBits;
+      const auto digit = [shift](NodeID_ id) {
+        return (static_cast<Digits>(id) >> shift) & (kBuckets - 1);
+      };
+      std::array<std::uint32_t, kBuckets> start{};
+      for (std::size_t i = 0; i < len; ++i) ++start[digit(src[i])];
+      std::uint32_t sum = 0;
+      for (std::uint32_t& s : start) sum += std::exchange(s, sum);
+      for (std::size_t i = 0; i < len; ++i)
+        dst[start[digit(src[i])]++] = src[i];
+      std::swap(src, dst);
+    }
+    if (src != first) std::copy(src, src + len, first);
+  }
+
   /// Keeps the first kept[v] entries of every row and closes the gaps by
   /// shifting rows left in one in-order pass: a row never moves right, so
-  /// each copy reads only entries no earlier copy has overwritten.
-  /// Returns the new offsets; `neighbors` shrinks in place.
-  [[nodiscard]] static pvector<OffsetT> shift_rows_left(
-      const pvector<OffsetT>& offsets, const pvector<OffsetT>& kept,
-      pvector<NodeID_>& neighbors) {
-    pvector<OffsetT> new_offsets = parallel_prefix_sum(kept);
+  /// each copy reads only entries no earlier copy has overwritten.  The
+  /// same pass rewrites `offsets` in place from a running write cursor,
+  /// reading offsets[v] before it is overwritten; `neighbors` shrinks in
+  /// place.
+  static void shift_rows_left(pvector<OffsetT>& offsets,
+                              const pvector<OffsetT>& kept,
+                              pvector<NodeID_>& neighbors) {
     const std::int64_t n = static_cast<std::int64_t>(kept.size());
     NodeID_* const data = neighbors.data();
-    for (std::int64_t v = 0; v < n; ++v)
-      if (new_offsets[v] != offsets[v])
-        std::copy(data + offsets[v], data + offsets[v] + kept[v],
-                  data + new_offsets[v]);
-    neighbors.resize(static_cast<std::size_t>(new_offsets[n]));
-    return new_offsets;
+    OffsetT write = 0;
+    for (std::int64_t v = 0; v < n; ++v) {
+      const OffsetT read = std::exchange(offsets[v], write);
+      if (write != read)
+        std::copy(data + read, data + read + kept[v], data + write);
+      write += kept[v];
+    }
+    offsets[n] = write;
+    neighbors.resize(static_cast<std::size_t>(write));
   }
 
   BuilderOptions opts_;

@@ -126,7 +126,8 @@ TEST_P(ThreadSweep, MultistepMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep,
                          ::testing::Values(1, 2, 3, 4, 7, 8),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           const std::string team = std::to_string(info.param);
+                           return "t" + team;
                          });
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@
 // fuzz corpus families at scales {0, 2, 9}, and hand-built corner shapes —
 // an empty list, vertices without edges, all self loops, all duplicates, a
 // star whose hub row holds more than half the entries, and fewer vertices
-// than threads.
+// than threads.  Long-row shapes drive the radix sort: rows at its cutoff,
+// ids needing one, two and three digit passes (odd counts end in scratch),
+// a directed in-star through Builder::invert, a row past the scratch cap,
+// and int16 / int64 ids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,15 +63,18 @@ std::string describe(const BuilderOptions& o) {
          " in_edges=" + (o.build_in_edges ? "1" : "0");
 }
 
+template <typename Id = NodeID>
 struct ReferenceRows {
   std::vector<OffsetT> offsets;
-  std::vector<NodeID> neighbors;
+  std::vector<Id> neighbors;
 };
 
-using Pairs = std::vector<std::pair<NodeID, NodeID>>;
+template <typename Id = NodeID>
+using Pairs = std::vector<std::pair<Id, Id>>;
 
-ReferenceRows lay_out(const Pairs& sorted_pairs, std::int64_t n) {
-  ReferenceRows rows;
+template <typename Id>
+ReferenceRows<Id> lay_out(const Pairs<Id>& sorted_pairs, std::int64_t n) {
+  ReferenceRows<Id> rows;
   rows.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
   for (const auto& [row, value] : sorted_pairs) {
     ++rows.offsets[static_cast<std::size_t>(row) + 1];
@@ -79,17 +85,19 @@ ReferenceRows lay_out(const Pairs& sorted_pairs, std::int64_t n) {
   return rows;
 }
 
+template <typename Id = NodeID>
 struct ReferenceCSR {
-  ReferenceRows out;
-  ReferenceRows in;  ///< directed cells with in-edges only
+  ReferenceRows<Id> out;
+  ReferenceRows<Id> in;  ///< directed cells with in-edges only
 };
 
 /// Serial reference.  Entries are listed in edge-list order; sorted cells
 /// sort all pairs, unsorted cells sort stably by row alone, which leaves
 /// each row in edge-list order.  In-rows are always sorted.
-ReferenceCSR reference_csr(const EdgeList<NodeID>& edges, std::int64_t n,
-                           const BuilderOptions& o) {
-  Pairs pairs;
+template <typename Id>
+ReferenceCSR<Id> reference_csr(const EdgeList<Id>& edges, std::int64_t n,
+                               const BuilderOptions& o) {
+  Pairs<Id> pairs;
   for (const auto& [u, v] : edges) {
     if (o.remove_self_loops && u == v) continue;
     pairs.emplace_back(u, v);
@@ -105,10 +113,10 @@ ReferenceCSR reference_csr(const EdgeList<NodeID>& edges, std::int64_t n,
   if (o.remove_duplicates)
     pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
-  ReferenceCSR ref;
+  ReferenceCSR<Id> ref;
   ref.out = lay_out(pairs, n);
   if (!o.symmetrize && o.build_in_edges) {
-    Pairs inverse;
+    Pairs<Id> inverse;
     for (const auto& [u, v] : pairs) inverse.emplace_back(v, u);
     std::sort(inverse.begin(), inverse.end());
     ref.in = lay_out(inverse, n);
@@ -124,7 +132,8 @@ std::vector<T> to_vector(const pvector<T>& p) {
 /// Offsets start at 0, never decrease and end at the entry count; every id
 /// is in range; no self loop survives when they are dropped; deduplicated
 /// rows are strictly increasing, sorted rows non-decreasing.
-void expect_structure(const Graph& g, const BuilderOptions& o) {
+template <typename Id>
+void expect_structure(const CSRGraph<Id>& g, const BuilderOptions& o) {
   const std::int64_t n = g.num_nodes();
   const auto& off = g.offsets();
   ASSERT_EQ(static_cast<std::int64_t>(off.size()), n + 1);
@@ -132,12 +141,12 @@ void expect_structure(const Graph& g, const BuilderOptions& o) {
   ASSERT_EQ(off[n], g.num_stored_edges());
   for (std::int64_t v = 0; v < n; ++v) {
     ASSERT_LE(off[v], off[v + 1]) << "offsets decrease at " << v;
-    const auto row = g.out_neigh(static_cast<NodeID>(v));
-    for (const NodeID* w = row.begin(); w != row.end(); ++w) {
+    const auto row = g.out_neigh(static_cast<Id>(v));
+    for (const Id* w = row.begin(); w != row.end(); ++w) {
       ASSERT_GE(*w, 0);
       ASSERT_LT(*w, n);
       if (o.remove_self_loops) {
-        ASSERT_NE(*w, static_cast<NodeID>(v)) << "self loop survived at " << v;
+        ASSERT_NE(*w, static_cast<Id>(v)) << "self loop survived at " << v;
       }
       if (w == row.begin()) continue;
       if (o.remove_duplicates) {
@@ -149,11 +158,13 @@ void expect_structure(const Graph& g, const BuilderOptions& o) {
   }
 }
 
-void expect_rows_equal_as_multisets(const Graph& g, const ReferenceRows& ref) {
+template <typename Id>
+void expect_rows_equal_as_multisets(const CSRGraph<Id>& g,
+                                    const ReferenceRows<Id>& ref) {
   for (std::int64_t v = 0; v < g.num_nodes(); ++v) {
-    const auto row = g.out_neigh(static_cast<NodeID>(v));
-    std::vector<NodeID> got(row.begin(), row.end());
-    std::vector<NodeID> want(
+    const auto row = g.out_neigh(static_cast<Id>(v));
+    std::vector<Id> got(row.begin(), row.end());
+    std::vector<Id> want(
         ref.neighbors.begin() + ref.offsets[static_cast<std::size_t>(v)],
         ref.neighbors.begin() + ref.offsets[static_cast<std::size_t>(v) + 1]);
     std::sort(got.begin(), got.end());
@@ -162,17 +173,19 @@ void expect_rows_equal_as_multisets(const Graph& g, const ReferenceRows& ref) {
   }
 }
 
-std::vector<OffsetT> in_offsets_of(const Graph& g) {
+template <typename Id>
+std::vector<OffsetT> in_offsets_of(const CSRGraph<Id>& g) {
   std::vector<OffsetT> offsets{0};
   for (std::int64_t v = 0; v < g.num_nodes(); ++v)
-    offsets.push_back(offsets.back() + g.in_degree(static_cast<NodeID>(v)));
+    offsets.push_back(offsets.back() + g.in_degree(static_cast<Id>(v)));
   return offsets;
 }
 
-std::vector<NodeID> in_neighbors_of(const Graph& g) {
-  std::vector<NodeID> neighbors;
+template <typename Id>
+std::vector<Id> in_neighbors_of(const CSRGraph<Id>& g) {
+  std::vector<Id> neighbors;
   for (std::int64_t v = 0; v < g.num_nodes(); ++v)
-    for (NodeID u : g.in_neigh(static_cast<NodeID>(v))) neighbors.push_back(u);
+    for (Id u : g.in_neigh(static_cast<Id>(v))) neighbors.push_back(u);
   return neighbors;
 }
 
@@ -188,16 +201,19 @@ class ScopedTeam {
   int original_;
 };
 
-/// The whole matrix on one input: every option cell at every team size.
-void expect_matrix_matches_reference(const EdgeList<NodeID>& edges,
-                                     std::int64_t n) {
+/// The whole matrix on one input: every option cell (or the given ones) at
+/// every team size.
+template <typename Id>
+void expect_matrix_matches_reference(
+    const EdgeList<Id>& edges, std::int64_t n,
+    const std::vector<BuilderOptions>& cells = all_option_cells()) {
   const ScopedTeam restore;
-  for (const BuilderOptions& o : all_option_cells()) {
-    const ReferenceCSR ref = reference_csr(edges, n, o);
+  for (const BuilderOptions& o : cells) {
+    const ReferenceCSR<Id> ref = reference_csr(edges, n, o);
     for (int team : kTeamSizes) {
       SCOPED_TRACE(describe(o) + " team=" + std::to_string(team));
       set_num_threads(team);
-      const Graph g = Builder<NodeID>(o).build(edges, n);
+      const CSRGraph<Id> g = Builder<Id>(o).build(edges, n);
       ASSERT_EQ(g.num_nodes(), n);
       ASSERT_EQ(g.directed(), !o.symmetrize);
       ASSERT_NO_FATAL_FAILURE(expect_structure(g, o));
@@ -341,6 +357,135 @@ TEST(BuilderMatrixShapes, UnsortedRowsKeepEdgeListOrder) {
     EXPECT_EQ(std::vector<NodeID>(row3.begin(), row3.end()),
               (std::vector<NodeID>{0, 0}))
         << "team=" << team;
+  }
+}
+
+// ---- long rows: the radix sort ----------------------------------------------
+
+constexpr std::size_t kCutoff = Builder<NodeID>::kRadixSortMinRow;
+
+/// Appends `len` edges (hub, x) per hub, x drawn with repeats from
+/// [low, n) minus the hubs.  No entry is a self loop and none lands in
+/// another hub's row, so each hub row holds exactly `len` entries in every
+/// option cell when it is sorted (duplicates go only after the sort), in
+/// random order.
+template <typename Id>
+void add_hub_rows(EdgeList<Id>& edges, std::int64_t n,
+                  const std::vector<Id>& hubs, std::size_t len,
+                  std::uint64_t seed, std::int64_t low = 0) {
+  Xoshiro256 rng(seed);
+  const auto range = static_cast<std::uint64_t>(n - low);
+  for (std::size_t k = 0; k < len; ++k)
+    for (const Id hub : hubs) {
+      Id x = hub;
+      while (std::find(hubs.begin(), hubs.end(), x) != hubs.end())
+        x = static_cast<Id>(low + static_cast<std::int64_t>(
+                                      rng.next_bounded(range)));
+      edges.push_back({hub, x});
+    }
+}
+
+/// The sorted cells that drop loops and build in-edges, directed or not,
+/// deduplicated or not: the radix sort's cells, without the |V|-sized cost
+/// of all 24 on inputs with millions of vertices.
+std::vector<BuilderOptions> sorted_cells() {
+  std::vector<BuilderOptions> cells;
+  for (const bool symmetrize : {true, false})
+    for (const bool dedup : {true, false}) {
+      BuilderOptions o;
+      o.symmetrize = symmetrize;
+      o.remove_duplicates = dedup;
+      cells.push_back(o);
+    }
+  return cells;
+}
+
+TEST(BuilderMatrixShapes, RowsAroundTheRadixCutoff) {
+  // Hubs 64+ rows apart land in different chunks of the dynamic row
+  // schedule, so several threads sort through their own scratch slices.
+  // 1,500 vertices take one digit pass (the row ends in scratch), 5,000
+  // take two.
+  for (const std::int64_t n : {1500, 5000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<NodeID> hubs{3, 700, static_cast<NodeID>(n - 100)};
+    for (const std::size_t len : {kCutoff - 1, kCutoff, kCutoff + 1}) {
+      SCOPED_TRACE("len=" + std::to_string(len));
+      EdgeList<NodeID> edges;
+      add_hub_rows(edges, n, hubs, len, len);
+      expect_matrix_matches_reference(edges, n);
+    }
+  }
+}
+
+TEST(BuilderMatrixShapes, HubRowsNeedTwoDigitPasses) {
+  // Ids below 2^17: two 11-bit passes, ending back in the row.
+  const std::int64_t n = 100'003;
+  EdgeList<NodeID> edges;
+  add_hub_rows<NodeID>(edges, n, {0, 40'000, 99'999}, 3000, 1);
+  add_hub_rows<NodeID>(edges, n, {77, 50'000}, 700, 2);
+  expect_matrix_matches_reference(edges, n);
+}
+
+TEST(BuilderMatrixShapes, HubRowsNeedThreeDigitPasses) {
+  // Just above 2^22 vertices, ids need 23 bits: three passes leave the
+  // sorted row in scratch, to be copied back.  Half of each hub row's ids
+  // sit above 2^22, so the top digit orders them too.
+  const std::int64_t top = std::int64_t{1} << 22;
+  const std::int64_t n = top + 4099;
+  const std::vector<NodeID> hubs{5, 2'000'000, static_cast<NodeID>(top + 7)};
+  EdgeList<NodeID> edges;
+  add_hub_rows(edges, n, hubs, 400, 3);
+  add_hub_rows(edges, n, hubs, 400, 4, top);
+  expect_matrix_matches_reference(edges, n, sorted_cells());
+}
+
+TEST(BuilderMatrixShapes, DirectedInStarGoesThroughInvert) {
+  // Every arc points at the hub: directed cells give it a long in-row that
+  // Builder::invert fills, owner-computes, from the sorted out-rows.
+  const std::int64_t n = 5000;
+  const NodeID hub = 2500;
+  Xoshiro256 rng(5);
+  EdgeList<NodeID> edges;
+  for (int k = 0; k < 4000; ++k) {
+    const auto x = static_cast<NodeID>(rng.next_bounded(n));
+    if (x != hub) edges.push_back({x, hub});
+  }
+  expect_matrix_matches_reference(edges, n);
+}
+
+TEST(BuilderMatrixShapes, RowPastTheScratchCapKeepsStdSort) {
+  // One row longer than kRadixScratchMaxRow beside one the radix sort
+  // takes: the scratch is sized to the shorter row, so the long one must
+  // not go through it.  Two sorted cells keep the million-entry reference
+  // affordable.
+  const std::int64_t n = 5000;
+  EdgeList<NodeID> edges;
+  add_hub_rows<NodeID>(edges, n, {100},
+                       Builder<NodeID>::kRadixScratchMaxRow + 1, 6);
+  add_hub_rows<NodeID>(edges, n, {4000}, 1000, 7);
+  const std::vector<BuilderOptions> cells = sorted_cells();
+  expect_matrix_matches_reference(edges, n, {cells[0], cells[3]});
+}
+
+TEST(BuilderMatrixShapes, LongRowsInNarrowIds) {
+  // int16 ids: one pass below 2^11 vertices, two up to the 32,767 cap.
+  using Narrow = std::int16_t;
+  for (const std::int64_t n : {2000, 32'767}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    EdgeList<Narrow> edges;
+    add_hub_rows<Narrow>(edges, n, {1, 900, static_cast<Narrow>(n - 1)},
+                         1500, 8);
+    expect_matrix_matches_reference(edges, n);
+  }
+}
+
+TEST(BuilderMatrixShapes, LongRowsInWideIds) {
+  using Wide = std::int64_t;
+  for (const std::int64_t n : {2000, 5000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    EdgeList<Wide> edges;
+    add_hub_rows<Wide>(edges, n, {0, 1000, n - 1}, 1500, 9);
+    expect_matrix_matches_reference(edges, n);
   }
 }
 
