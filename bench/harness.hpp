@@ -195,40 +195,10 @@ inline std::string render_json(const std::string& experiment,
     w.key("count").value(static_cast<std::uint64_t>(r.trials.trials));
     w.end_object();
     if (r.has_telemetry) {
-      const telemetry::Counters& c = r.report.counters;
       w.key("counters").begin_object();
-      w.key("link_calls").value(c.link_calls);
-      w.key("link_retries").value(c.link_retries);
-      w.key("link_retry_peak").value(c.link_retry_peak);
-      w.key("cas_attempts").value(c.cas_attempts);
-      w.key("cas_failures").value(c.cas_failures);
-      w.key("compress_calls").value(c.compress_calls);
-      w.key("compress_hops").value(c.compress_hops);
-      w.key("phase3_vertices_skipped").value(c.phase3_vertices_skipped);
-      w.key("phase3_edges_skipped").value(c.phase3_edges_skipped);
-      w.key("iterations").value(c.iterations);
-      w.key("sv_hooks_fired").value(c.sv_hooks_fired);
-      w.key("lp_label_updates").value(c.lp_label_updates);
-      w.key("serve_queries_served").value(c.serve_queries_served);
-      w.key("serve_snapshot_swaps").value(c.serve_snapshot_swaps);
-      w.key("serve_edges_ingested").value(c.serve_edges_ingested);
-      w.key("dynamic_deletes_free").value(c.dynamic_deletes_free);
-      w.key("dynamic_rebuilds").value(c.dynamic_rebuilds);
-      w.key("dynamic_rebuild_vertices").value(c.dynamic_rebuild_vertices);
-      w.key("wal_records_appended").value(c.wal_records_appended);
-      w.key("wal_bytes_appended").value(c.wal_bytes_appended);
-      w.key("wal_records_replayed").value(c.wal_records_replayed);
-      w.key("wal_checkpoints_written").value(c.wal_checkpoints_written);
-      w.key("wal_torn_tail_truncations").value(c.wal_torn_tail_truncations);
-      w.key("shard_boundary_msgs").value(c.shard_boundary_msgs);
-      w.key("shard_quotient_edges").value(c.shard_quotient_edges);
-      w.key("shard_epoch_publishes").value(c.shard_epoch_publishes);
-      w.key("ingest_edges_coalesced").value(c.ingest_edges_coalesced);
-      w.key("ingest_edges_dropped_noop").value(c.ingest_edges_dropped_noop);
-      w.key("cache_hits").value(c.cache_hits);
-      w.key("cache_misses").value(c.cache_misses);
-      w.key("cache_drops").value(c.cache_drops);
-      w.key("failpoints_fired").value(c.failpoints_fired);
+      telemetry::for_each_counter(
+          r.report.counters,
+          [&w](const char* name, std::uint64_t v) { w.key(name).value(v); });
       w.end_object();
       w.key("phases").begin_array();
       for (const telemetry::PhaseSample& ph : r.report.phases) {

@@ -16,12 +16,16 @@
 //     compile-time `false`, so every hook and its feeding arithmetic is
 //     dead code the optimizer deletes.
 //   * runtime switch — in telemetry-compiled builds (the default) the
-//     counters stay dormant behind one relaxed atomic-bool load per hook;
-//     set_enabled(true) or the AFFOREST_TELEMETRY environment variable
-//     arms them.
+//     counters stay dormant until set_enabled(true) or the
+//     AFFOREST_TELEMETRY environment variable arms them.  The parallel
+//     union and compress loops read the switch once per entry call
+//     (select_probe in cc/afforest.hpp) and, while dormant, run an
+//     instantiation with no hooks at all; every other hook costs one
+//     relaxed atomic-bool load per call.
 //   * when armed, every increment lands in a cache-line-aligned
-//     thread-local block (no cross-thread contention); the fields are
-//     relaxed atomics so snapshot()/reset() from another thread is
+//     thread-local block that only its owner thread writes, so an update
+//     is a relaxed load plus store, with no lock-prefixed add.  The fields
+//     are relaxed atomics so snapshot()/reset() from another thread is
 //     race-free under TSan without any barrier assumptions about the
 //     OpenMP runtime.
 //
@@ -77,79 +81,69 @@ inline void set_enabled(bool on) {
     detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
 
+/// The counter table: one row per counter, in report order, naming how
+/// snapshot() folds the thread blocks (sum, or peak for a maximum).  It
+/// generates Counters, the thread blocks, snapshot(), reset() and
+/// for_each_counter(); docs/BENCHMARKING.md's glossary defines each row.
+#define AFFOREST_TELEMETRY_COUNTERS(X)                                         \
+  X(link_calls, sum)                /* link() + rem_splice() calls */          \
+  X(link_retries, sum)              /* extra climbing passes in either */      \
+  X(link_retry_peak, peak)          /* deepest single-call retry chain */      \
+  X(cas_attempts, sum)              /* hook and splice CASes */                \
+  X(cas_failures, sum)              /* lost CAS races in either */             \
+  X(compress_calls, sum)            /* compress() invocations */               \
+  X(compress_hops, sum)             /* total pointer-jump hops */              \
+  X(phase3_vertices_skipped, sum)   /* §IV-D skip: vertices */                 \
+  X(phase3_edges_skipped, sum)      /* §IV-D skip: edges */                    \
+  X(iterations, sum)                /* outer fixpoint iterations (SV/LP) */    \
+  X(sv_hooks_fired, sum)            /* successful SV hook stores */            \
+  X(lp_label_updates, sum)          /* LP label improvements */                \
+  X(serve_queries_served, sum)      /* serving-layer queries answered */       \
+  X(serve_snapshot_swaps, sum)      /* serving-layer snapshot publishes */     \
+  X(serve_edges_ingested, sum)      /* serving-layer edges applied */          \
+  X(dynamic_deletes_free, sum)      /* deletions certified free (O(1)) */      \
+  X(dynamic_rebuilds, sum)          /* components rebuilt after cuts */        \
+  X(dynamic_rebuild_vertices, sum)  /* vertices relabeled by rebuilds */       \
+  X(wal_records_appended, sum)      /* WAL records journaled */                \
+  X(wal_bytes_appended, sum)        /* WAL bytes written (incl. framing) */    \
+  X(wal_records_replayed, sum)      /* WAL records re-applied in recovery */   \
+  X(wal_checkpoints_written, sum)   /* checkpoints durably installed */        \
+  X(wal_torn_tail_truncations, sum) /* torn WAL tails discarded */             \
+  X(shard_boundary_msgs, sum)       /* cross-shard boundary edges routed */    \
+  X(shard_quotient_edges, sum)      /* deduped root-pair messages merged */    \
+  X(shard_epoch_publishes, sum)     /* cross-shard epochs published */         \
+  X(ingest_edges_coalesced, sum)    /* exact duplicates merged pre-writer */   \
+  X(ingest_edges_dropped_noop, sum) /* root-equal edges filtered */            \
+  X(cache_hits, sum)                /* membership-cache epoch-exact hits */    \
+  X(cache_misses, sum)              /* membership-cache misses (computed) */   \
+  X(cache_drops, sum)               /* membership-cache lost install races */
+
 /// Aggregated view of every counter, summed over all thread blocks.
-/// Field semantics are documented in docs/BENCHMARKING.md's glossary.
 struct Counters {
-  std::uint64_t link_calls = 0;        ///< link() + rem_splice() calls
-  std::uint64_t link_retries = 0;      ///< extra climbing passes in either
-  std::uint64_t link_retry_peak = 0;   ///< deepest single-call retry chain
-  std::uint64_t cas_attempts = 0;      ///< CASes: link() root hooks, and
-                                       ///< rem_splice() hooks and splices
-  std::uint64_t cas_failures = 0;      ///< lost CAS races in either
-  std::uint64_t compress_calls = 0;    ///< compress() invocations
-  std::uint64_t compress_hops = 0;     ///< total pointer-jump hops
-  std::uint64_t phase3_vertices_skipped = 0;  ///< §IV-D skip: vertices
-  std::uint64_t phase3_edges_skipped = 0;     ///< §IV-D skip: edges
-  std::uint64_t iterations = 0;        ///< outer fixpoint iterations (SV/LP)
-  std::uint64_t sv_hooks_fired = 0;    ///< successful SV hook stores
-  std::uint64_t lp_label_updates = 0;  ///< LP label improvements
-  std::uint64_t serve_queries_served = 0;  ///< serving-layer queries answered
-  std::uint64_t serve_snapshot_swaps = 0;  ///< serving-layer snapshot publishes
-  std::uint64_t serve_edges_ingested = 0;  ///< serving-layer edges applied
-  std::uint64_t dynamic_deletes_free = 0;  ///< deletions certified free (O(1))
-  std::uint64_t dynamic_rebuilds = 0;      ///< components rebuilt after cuts
-  std::uint64_t dynamic_rebuild_vertices = 0;  ///< vertices relabeled by rebuilds
-  std::uint64_t wal_records_appended = 0;  ///< WAL records journaled
-  std::uint64_t wal_bytes_appended = 0;    ///< WAL bytes written (incl. framing)
-  std::uint64_t wal_records_replayed = 0;  ///< WAL records re-applied in recovery
-  std::uint64_t wal_checkpoints_written = 0;  ///< checkpoints durably installed
-  std::uint64_t wal_torn_tail_truncations = 0;  ///< torn WAL tails discarded
-  std::uint64_t shard_boundary_msgs = 0;   ///< cross-shard boundary edges routed
-  std::uint64_t shard_quotient_edges = 0;  ///< deduped root-pair messages merged
-  std::uint64_t shard_epoch_publishes = 0;  ///< cross-shard epochs published
-  std::uint64_t ingest_edges_coalesced = 0;  ///< exact duplicates merged pre-writer
-  std::uint64_t ingest_edges_dropped_noop = 0;  ///< root-equal edges filtered
-  std::uint64_t cache_hits = 0;            ///< membership-cache epoch-exact hits
-  std::uint64_t cache_misses = 0;          ///< membership-cache misses (computed)
-  std::uint64_t cache_drops = 0;           ///< membership-cache lost install races
-  std::uint64_t failpoints_fired = 0;      ///< injected faults fired (live total,
-                                           ///< not reset by telemetry::reset)
+#define AFFOREST_TELEMETRY_FIELD(name, fold) std::uint64_t name = 0;
+  AFFOREST_TELEMETRY_COUNTERS(AFFOREST_TELEMETRY_FIELD)
+#undef AFFOREST_TELEMETRY_FIELD
+  /// Injected faults fired: the failpoint registry's live total, kept
+  /// outside the thread blocks and not reset by telemetry::reset.
+  std::uint64_t failpoints_fired = 0;
 };
+
+/// Calls f(name, value) for every counter of c in report order: the
+/// table's rows, then failpoints_fired.
+template <typename F>
+void for_each_counter(const Counters& c, F&& f) {
+#define AFFOREST_TELEMETRY_VISIT(name, fold) f(#name, c.name);
+  AFFOREST_TELEMETRY_COUNTERS(AFFOREST_TELEMETRY_VISIT)
+#undef AFFOREST_TELEMETRY_VISIT
+  f("failpoints_fired", c.failpoints_fired);
+}
 
 namespace detail {
 
 struct alignas(kCacheLineBytes) ThreadCounters {
-  std::atomic<std::uint64_t> link_calls{0};
-  std::atomic<std::uint64_t> link_retries{0};
-  std::atomic<std::uint64_t> link_retry_peak{0};
-  std::atomic<std::uint64_t> cas_attempts{0};
-  std::atomic<std::uint64_t> cas_failures{0};
-  std::atomic<std::uint64_t> compress_calls{0};
-  std::atomic<std::uint64_t> compress_hops{0};
-  std::atomic<std::uint64_t> phase3_vertices_skipped{0};
-  std::atomic<std::uint64_t> phase3_edges_skipped{0};
-  std::atomic<std::uint64_t> iterations{0};
-  std::atomic<std::uint64_t> sv_hooks_fired{0};
-  std::atomic<std::uint64_t> lp_label_updates{0};
-  std::atomic<std::uint64_t> serve_queries_served{0};
-  std::atomic<std::uint64_t> serve_snapshot_swaps{0};
-  std::atomic<std::uint64_t> serve_edges_ingested{0};
-  std::atomic<std::uint64_t> dynamic_deletes_free{0};
-  std::atomic<std::uint64_t> dynamic_rebuilds{0};
-  std::atomic<std::uint64_t> dynamic_rebuild_vertices{0};
-  std::atomic<std::uint64_t> wal_records_appended{0};
-  std::atomic<std::uint64_t> wal_bytes_appended{0};
-  std::atomic<std::uint64_t> wal_records_replayed{0};
-  std::atomic<std::uint64_t> wal_checkpoints_written{0};
-  std::atomic<std::uint64_t> wal_torn_tail_truncations{0};
-  std::atomic<std::uint64_t> shard_boundary_msgs{0};
-  std::atomic<std::uint64_t> shard_quotient_edges{0};
-  std::atomic<std::uint64_t> shard_epoch_publishes{0};
-  std::atomic<std::uint64_t> ingest_edges_coalesced{0};
-  std::atomic<std::uint64_t> ingest_edges_dropped_noop{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> cache_misses{0};
-  std::atomic<std::uint64_t> cache_drops{0};
+#define AFFOREST_TELEMETRY_FIELD(name, fold) std::atomic<std::uint64_t> name{0};
+  AFFOREST_TELEMETRY_COUNTERS(AFFOREST_TELEMETRY_FIELD)
+#undef AFFOREST_TELEMETRY_FIELD
 };
 
 struct BlockRegistry {
@@ -162,23 +156,35 @@ inline BlockRegistry& registry() {
   return r;
 }
 
-/// The calling thread's counter block (registered on first use, leaked by
-/// design — see the header comment).
+[[gnu::noinline]] inline ThreadCounters* register_block() {
+  auto* b = new ThreadCounters();
+  BlockRegistry& r = registry();
+  const std::lock_guard<std::mutex> lock(r.mu);
+  r.blocks.push_back(b);
+  return b;
+}
+
+/// The calling thread's counter block, registered on first use and leaked
+/// by design (see the header comment).  The pointer is constant-initialized,
+/// so a call reads it without a TLS init guard.
 inline ThreadCounters& local() {
-  thread_local ThreadCounters* block = [] {
-    auto* b = new ThreadCounters();
-    BlockRegistry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mu);
-    r.blocks.push_back(b);
-    return b;
-  }();
+  constinit thread_local ThreadCounters* block = nullptr;
+  if (block == nullptr) [[unlikely]]
+    block = register_block();
   return *block;
 }
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+/// Owner-exclusive update: only the owner thread writes its block, so a
+/// relaxed load plus store cannot lose a concurrent add.
 inline void add(std::atomic<std::uint64_t>& field, std::uint64_t delta) {
-  if (delta != 0) field.fetch_add(delta, kRelaxed);
+  field.store(field.load(kRelaxed) + delta, kRelaxed);
+}
+
+inline std::uint64_t sum(std::uint64_t a, std::uint64_t b) { return a + b; }
+inline std::uint64_t peak(std::uint64_t a, std::uint64_t b) {
+  return std::max(a, b);
 }
 
 }  // namespace detail
@@ -186,18 +192,16 @@ inline void add(std::atomic<std::uint64_t>& field, std::uint64_t delta) {
 // ---- hot-path hooks -------------------------------------------------------
 // Kernels accumulate into stack locals and call these once per primitive
 // invocation; each hook is a relaxed-load branch when dormant and a handful
-// of uncontended relaxed adds when armed.
+// of owner-exclusive relaxed updates when armed.
 
 inline void on_link(std::uint64_t retries, std::uint64_t cas_attempts,
                     std::uint64_t cas_failures) {
   if (!enabled()) return;
   detail::ThreadCounters& b = detail::local();
-  b.link_calls.fetch_add(1, detail::kRelaxed);
+  detail::add(b.link_calls, 1);
   detail::add(b.link_retries, retries);
   detail::add(b.cas_attempts, cas_attempts);
   detail::add(b.cas_failures, cas_failures);
-  // Owner-exclusive peak update: only this thread writes its block, so a
-  // plain compare-then-store on the relaxed atomic is sufficient.
   if (retries > b.link_retry_peak.load(detail::kRelaxed))
     b.link_retry_peak.store(retries, detail::kRelaxed);
 }
@@ -205,7 +209,7 @@ inline void on_link(std::uint64_t retries, std::uint64_t cas_attempts,
 inline void on_compress(std::uint64_t hops) {
   if (!enabled()) return;
   detail::ThreadCounters& b = detail::local();
-  b.compress_calls.fetch_add(1, detail::kRelaxed);
+  detail::add(b.compress_calls, 1);
   detail::add(b.compress_hops, hops);
 }
 
@@ -246,7 +250,7 @@ inline void on_queries_served(std::uint64_t n) {
 
 inline void on_snapshot_swap() {
   if (!enabled()) return;
-  detail::local().serve_snapshot_swaps.fetch_add(1, detail::kRelaxed);
+  detail::add(detail::local().serve_snapshot_swaps, 1);
 }
 
 inline void on_edges_ingested(std::uint64_t n) {
@@ -267,7 +271,7 @@ inline void on_dynamic_deletes_free(std::uint64_t n) {
 inline void on_dynamic_rebuild(std::uint64_t vertices) {
   if (!enabled()) return;
   detail::ThreadCounters& b = detail::local();
-  b.dynamic_rebuilds.fetch_add(1, detail::kRelaxed);
+  detail::add(b.dynamic_rebuilds, 1);
   detail::add(b.dynamic_rebuild_vertices, vertices);
 }
 
@@ -278,7 +282,7 @@ inline void on_dynamic_rebuild(std::uint64_t vertices) {
 inline void on_wal_append(std::uint64_t bytes) {
   if (!enabled()) return;
   detail::ThreadCounters& b = detail::local();
-  b.wal_records_appended.fetch_add(1, detail::kRelaxed);
+  detail::add(b.wal_records_appended, 1);
   detail::add(b.wal_bytes_appended, bytes);
 }
 
@@ -289,12 +293,12 @@ inline void on_wal_replay(std::uint64_t records) {
 
 inline void on_wal_checkpoint() {
   if (!enabled()) return;
-  detail::local().wal_checkpoints_written.fetch_add(1, detail::kRelaxed);
+  detail::add(detail::local().wal_checkpoints_written, 1);
 }
 
 inline void on_wal_torn_tail() {
   if (!enabled()) return;
-  detail::local().wal_torn_tail_truncations.fetch_add(1, detail::kRelaxed);
+  detail::add(detail::local().wal_torn_tail_truncations, 1);
 }
 
 // Sharded-tier hooks (src/shard/sharded_engine.hpp).  All fire from the
@@ -314,13 +318,13 @@ inline void on_shard_quotient_edges(std::uint64_t n) {
 
 inline void on_shard_epoch_publish() {
   if (!enabled()) return;
-  detail::local().shard_epoch_publishes.fetch_add(1, detail::kRelaxed);
+  detail::add(detail::local().shard_epoch_publishes, 1);
 }
 
 // Ingestion-pipeline hooks (src/serve/ingest.hpp).  Coalesce/no-op tallies
 // fire once per pumped batch from the single consumer thread; the cache
-// hooks fire per lookup from reader threads (one relaxed add each — same
-// cost class as the single-query serve hooks above).
+// hooks fire per lookup from reader threads (one owner-exclusive update
+// each — same cost class as the single-query serve hooks above).
 
 inline void on_ingest_coalesced(std::uint64_t n) {
   if (!enabled()) return;
@@ -334,17 +338,17 @@ inline void on_ingest_dropped_noop(std::uint64_t n) {
 
 inline void on_cache_hit() {
   if (!enabled()) return;
-  detail::local().cache_hits.fetch_add(1, detail::kRelaxed);
+  detail::add(detail::local().cache_hits, 1);
 }
 
 inline void on_cache_miss() {
   if (!enabled()) return;
-  detail::local().cache_misses.fetch_add(1, detail::kRelaxed);
+  detail::add(detail::local().cache_misses, 1);
 }
 
 inline void on_cache_drop() {
   if (!enabled()) return;
-  detail::local().cache_drops.fetch_add(1, detail::kRelaxed);
+  detail::add(detail::local().cache_drops, 1);
 }
 
 // ---- aggregation ----------------------------------------------------------
@@ -357,50 +361,10 @@ inline Counters snapshot() {
   detail::BlockRegistry& r = detail::registry();
   const std::lock_guard<std::mutex> lock(r.mu);
   for (const detail::ThreadCounters* b : r.blocks) {
-    total.link_calls += b->link_calls.load(detail::kRelaxed);
-    total.link_retries += b->link_retries.load(detail::kRelaxed);
-    total.link_retry_peak =
-        std::max(total.link_retry_peak, b->link_retry_peak.load(detail::kRelaxed));
-    total.cas_attempts += b->cas_attempts.load(detail::kRelaxed);
-    total.cas_failures += b->cas_failures.load(detail::kRelaxed);
-    total.compress_calls += b->compress_calls.load(detail::kRelaxed);
-    total.compress_hops += b->compress_hops.load(detail::kRelaxed);
-    total.phase3_vertices_skipped +=
-        b->phase3_vertices_skipped.load(detail::kRelaxed);
-    total.phase3_edges_skipped += b->phase3_edges_skipped.load(detail::kRelaxed);
-    total.iterations += b->iterations.load(detail::kRelaxed);
-    total.sv_hooks_fired += b->sv_hooks_fired.load(detail::kRelaxed);
-    total.lp_label_updates += b->lp_label_updates.load(detail::kRelaxed);
-    total.serve_queries_served +=
-        b->serve_queries_served.load(detail::kRelaxed);
-    total.serve_snapshot_swaps +=
-        b->serve_snapshot_swaps.load(detail::kRelaxed);
-    total.serve_edges_ingested +=
-        b->serve_edges_ingested.load(detail::kRelaxed);
-    total.dynamic_deletes_free += b->dynamic_deletes_free.load(detail::kRelaxed);
-    total.dynamic_rebuilds += b->dynamic_rebuilds.load(detail::kRelaxed);
-    total.dynamic_rebuild_vertices +=
-        b->dynamic_rebuild_vertices.load(detail::kRelaxed);
-    total.wal_records_appended += b->wal_records_appended.load(detail::kRelaxed);
-    total.wal_bytes_appended += b->wal_bytes_appended.load(detail::kRelaxed);
-    total.wal_records_replayed +=
-        b->wal_records_replayed.load(detail::kRelaxed);
-    total.wal_checkpoints_written +=
-        b->wal_checkpoints_written.load(detail::kRelaxed);
-    total.wal_torn_tail_truncations +=
-        b->wal_torn_tail_truncations.load(detail::kRelaxed);
-    total.shard_boundary_msgs += b->shard_boundary_msgs.load(detail::kRelaxed);
-    total.shard_quotient_edges +=
-        b->shard_quotient_edges.load(detail::kRelaxed);
-    total.shard_epoch_publishes +=
-        b->shard_epoch_publishes.load(detail::kRelaxed);
-    total.ingest_edges_coalesced +=
-        b->ingest_edges_coalesced.load(detail::kRelaxed);
-    total.ingest_edges_dropped_noop +=
-        b->ingest_edges_dropped_noop.load(detail::kRelaxed);
-    total.cache_hits += b->cache_hits.load(detail::kRelaxed);
-    total.cache_misses += b->cache_misses.load(detail::kRelaxed);
-    total.cache_drops += b->cache_drops.load(detail::kRelaxed);
+#define AFFOREST_TELEMETRY_FOLD(name, fold) \
+  total.name = detail::fold(total.name, b->name.load(detail::kRelaxed));
+    AFFOREST_TELEMETRY_COUNTERS(AFFOREST_TELEMETRY_FOLD)
+#undef AFFOREST_TELEMETRY_FOLD
   }
   // Failpoint fire counts live in the failpoint registry (util/failpoint.hpp
   // must stay include-light, so the dependency points this way).  They are
@@ -501,45 +465,18 @@ inline std::uint64_t peak_rss_bytes() {
 // ---- lifecycle ------------------------------------------------------------
 
 /// Zeroes every counter block and clears the phase table.  Call between
-/// measured runs; concurrent kernel updates during a reset are lost, not
-/// racy (all fields are atomics).
+/// measured runs.  A reset that races a running kernel is not a data race
+/// (all fields are atomics), but it may be overwritten: an owner's update
+/// loads a field before the zero lands and stores it back after.
 inline void reset() {
   if constexpr (!compiled_in()) return;
   {
     detail::BlockRegistry& r = detail::registry();
     const std::lock_guard<std::mutex> lock(r.mu);
     for (detail::ThreadCounters* b : r.blocks) {
-      b->link_calls.store(0, detail::kRelaxed);
-      b->link_retries.store(0, detail::kRelaxed);
-      b->link_retry_peak.store(0, detail::kRelaxed);
-      b->cas_attempts.store(0, detail::kRelaxed);
-      b->cas_failures.store(0, detail::kRelaxed);
-      b->compress_calls.store(0, detail::kRelaxed);
-      b->compress_hops.store(0, detail::kRelaxed);
-      b->phase3_vertices_skipped.store(0, detail::kRelaxed);
-      b->phase3_edges_skipped.store(0, detail::kRelaxed);
-      b->iterations.store(0, detail::kRelaxed);
-      b->sv_hooks_fired.store(0, detail::kRelaxed);
-      b->lp_label_updates.store(0, detail::kRelaxed);
-      b->serve_queries_served.store(0, detail::kRelaxed);
-      b->serve_snapshot_swaps.store(0, detail::kRelaxed);
-      b->serve_edges_ingested.store(0, detail::kRelaxed);
-      b->dynamic_deletes_free.store(0, detail::kRelaxed);
-      b->dynamic_rebuilds.store(0, detail::kRelaxed);
-      b->dynamic_rebuild_vertices.store(0, detail::kRelaxed);
-      b->wal_records_appended.store(0, detail::kRelaxed);
-      b->wal_bytes_appended.store(0, detail::kRelaxed);
-      b->wal_records_replayed.store(0, detail::kRelaxed);
-      b->wal_checkpoints_written.store(0, detail::kRelaxed);
-      b->wal_torn_tail_truncations.store(0, detail::kRelaxed);
-      b->shard_boundary_msgs.store(0, detail::kRelaxed);
-      b->shard_quotient_edges.store(0, detail::kRelaxed);
-      b->shard_epoch_publishes.store(0, detail::kRelaxed);
-      b->ingest_edges_coalesced.store(0, detail::kRelaxed);
-      b->ingest_edges_dropped_noop.store(0, detail::kRelaxed);
-      b->cache_hits.store(0, detail::kRelaxed);
-      b->cache_misses.store(0, detail::kRelaxed);
-      b->cache_drops.store(0, detail::kRelaxed);
+#define AFFOREST_TELEMETRY_ZERO(name, fold) b->name.store(0, detail::kRelaxed);
+      AFFOREST_TELEMETRY_COUNTERS(AFFOREST_TELEMETRY_ZERO)
+#undef AFFOREST_TELEMETRY_ZERO
     }
   }
   detail::PhaseTable& t = detail::phase_table();

@@ -45,7 +45,11 @@
 // Probes.  The primitives and the driver report what they do to a probe;
 // the default, TelemetryProbe, is the telemetry reporting.  Table II's
 // counters, the Fig 7 tracer and the §IV-A witness lists are probes on
-// this driver, so they observe the code afforest_cc runs.
+// this driver, so they observe the code afforest_cc runs.  Every entry
+// point with a parallel union or compress loop picks its probe once, by
+// select_probe: a default probe runs as TelemetryProbe while telemetry is
+// armed and as the hook-free NullProbe while it is dormant, so a dormant
+// loop carries no telemetry check.
 //
 // Why the §IV-D skip stays sound under splicing.  A splice moves a
 // non-root into the other tree before its old root is hooked, so a set is
@@ -170,6 +174,32 @@ struct TelemetryProbe {
   void phase(AfforestPhase, std::int32_t, const pvector<NodeID_>&) const {}
 };
 
+/// The hook-free probe: reports nothing, and counts_skips() is false, so a
+/// loop instantiated on it is the unprobed code.
+struct NullProbe : TelemetryProbe {
+  void linked(std::int64_t, std::int64_t, bool, std::uint64_t, std::uint64_t,
+              std::uint64_t) const {}
+  void compressed(std::uint64_t) const {}
+  bool counts_skips() const { return false; }
+  void skipped(std::uint64_t, std::uint64_t) const {}
+};
+
+/// Runs f(selected) with the probe a parallel loop reports to, reading
+/// telemetry::enabled() once: the default TelemetryProbe is selected as
+/// itself while telemetry is armed and as NullProbe while it is dormant or
+/// compiled out.  Any other probe is selected as itself.
+template <typename Probe, typename F>
+auto select_probe(Probe probe, F&& f) {
+  if constexpr (!std::is_same_v<Probe, TelemetryProbe>) {
+    return f(probe);
+  } else if constexpr (!telemetry::compiled_in()) {
+    return f(NullProbe{});
+  } else {
+    if (telemetry::enabled()) return f(probe);
+    return f(NullProbe{});
+  }
+}
+
 /// Hooks the trees containing u and v (paper Fig 3).  Lock-free; safe to
 /// call concurrently on arbitrary edges.  Returns true iff this call's own
 /// CAS merged two trees (the §IV-A witness, see afforest_forest.hpp).
@@ -180,9 +210,8 @@ bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp, Probe probe = {}) {
   NodeID_ p1 = atomic_load(comp[u]);
   probe.read(v);
   NodeID_ p2 = atomic_load(comp[v]);
-  // Tallies live in registers and go to the probe once per call
-  // (telemetry.hpp's zero-overhead contract keeps the dormant cost to one
-  // relaxed flag load).
+  // Tallies live in registers and go to the probe once per call; under
+  // NullProbe, the dormant solve's probe, the compiler drops them.
   std::uint64_t retries = 0, cas_attempts = 0, cas_failures = 0;
   bool merged = false;
   // lint: bounded(each retry strictly descends a finite acyclic parent chain; Lemma 5)
@@ -299,9 +328,11 @@ void compress(NodeID_ v, pvector<NodeID_>& comp, Probe probe = {}) {
 template <typename NodeID_, typename Probe = TelemetryProbe>
 void compress_all(pvector<NodeID_>& comp, Probe probe = {}) {
   const std::int64_t n = static_cast<std::int64_t>(comp.size());
+  select_probe(probe, [&](auto selected) {
 #pragma omp parallel for schedule(dynamic, 16384)
-  for (std::int64_t v = 0; v < n; ++v)
-    compress(static_cast<NodeID_>(v), comp, probe);
+    for (std::int64_t v = 0; v < n; ++v)
+      compress(static_cast<NodeID_>(v), comp, selected);
+  });
 }
 
 /// Probabilistic mode of comp[]: samples `count` entries uniformly at
@@ -440,11 +471,9 @@ void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
         // Telemetry quantifies §IV-D directly: edges the skip avoided are
         // the vertex's remaining out-neighborhood (the in-neighborhood is
         // handled from the other endpoint, as in Theorem 3's argument).
-        // The degree load lives behind counts_skips() (for the default
-        // probe, telemetry::enabled()) so dormant runs keep the skip branch
-        // free of offset-array reads — this is the hottest path on
-        // giant-component graphs and the zero-overhead-when-off contract
-        // must hold here.
+        // The degree load lives behind counts_skips(), which is false for
+        // NullProbe, so a dormant solve's skip branch reads no offsets —
+        // this is the hottest path on giant-component graphs.
         if (probe.counts_skips()) {
           const OffsetT deg = g.out_degree(static_cast<NodeID_>(v));
           probe.skipped(
@@ -569,10 +598,10 @@ ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
 /// component labels (weakly connected on a directed graph); labels are the
 /// minimum vertex id in each component (a property of Invariant 1 +
 /// convergence, relied on by tests).  Fills `times` when given, and
-/// reports to `probe` (see TelemetryProbe).  Throws std::invalid_argument
-/// before any work for a Chunked size <= 0, or for a directed graph
-/// without in-edges when skipping (phase 3 reaches a skipped tail's arcs
-/// only through them).
+/// reports to `probe` (see TelemetryProbe and select_probe).  Throws
+/// std::invalid_argument before any work for a Chunked size <= 0, or for a
+/// directed graph without in-edges when skipping (phase 3 reaches a skipped
+/// tail's arcs only through them).
 template <typename NodeID_, typename Probe = TelemetryProbe>
 ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
                                      const AfforestOptions& opts = {},
@@ -585,12 +614,14 @@ ComponentLabels<NodeID_> afforest_cc(const CSRGraph<NodeID_>& g,
     throw std::invalid_argument(
         "afforest_cc: directed graph without in-edges (build it with "
         "build_directed, or BuilderOptions::build_in_edges)");
-  return std::visit(
-      [&](auto choice) {
-        return detail::afforest_phases<decltype(choice)>(g, opts, times,
-                                                         probe);
-      },
-      opts.link);
+  return select_probe(probe, [&](auto selected) {
+    return std::visit(
+        [&](auto choice) {
+          return detail::afforest_phases<decltype(choice)>(g, opts, times,
+                                                           selected);
+        },
+        opts.link);
+  });
 }
 
 /// Afforest without large-component skipping — the "Afforest (no skip)"
@@ -616,7 +647,10 @@ ComponentLabels<NodeID_> afforest_no_interleave(
   opts.sampling = NeighborRounds{neighbor_rounds};
   opts.link = RootHook{};
   opts.skip_largest = false;
-  return detail::afforest_phases<RootHook, false>(g, opts, nullptr, probe);
+  return select_probe(probe, [&](auto selected) {
+    return detail::afforest_phases<RootHook, false>(g, opts, nullptr,
+                                                    selected);
+  });
 }
 
 }  // namespace afforest

@@ -76,12 +76,14 @@ ComponentLabels<NodeID_> rem_cc_parallel(const CSRGraph<NodeID_>& g) {
   const std::int64_t n = g.num_nodes();
   const bool all_arcs = g.directed();
   auto parent = identity_labels<NodeID_>(n);
+  select_probe(TelemetryProbe{}, [&](auto probe) {
 #pragma omp parallel for schedule(dynamic, 4096)
-  for (std::int64_t u = 0; u < n; ++u)
-    for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
-      if (all_arcs || static_cast<NodeID_>(u) < v)
-        rem_splice(static_cast<NodeID_>(u), v, parent);
-  compress_all(parent);
+    for (std::int64_t u = 0; u < n; ++u)
+      for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
+        if (all_arcs || static_cast<NodeID_>(u) < v)
+          rem_splice(static_cast<NodeID_>(u), v, parent, probe);
+    compress_all(parent, probe);
+  });
   return parent;
 }
 

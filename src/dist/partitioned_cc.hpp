@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "cc/afforest.hpp"
 #include "cc/common.hpp"
@@ -79,22 +80,27 @@ ComponentLabels<NodeID_> partitioned_cc(const CSRGraph<NodeID_>& g,
   // Superstep 1: link internal edges.  Each rank touches only its own
   // block of comp, so ranks can be simulated by one parallel loop; the
   // lock-free link keeps the simulation faithful to per-rank concurrency.
-  std::int64_t internal = 0, boundary = 0;
+  const auto [internal, boundary] =
+      select_probe(TelemetryProbe{}, [&](auto probe) {
+        std::int64_t internal = 0, boundary = 0;
 #pragma omp parallel for reduction(+ : internal, boundary) \
     schedule(dynamic, 2048)
-  for (std::int64_t u = 0; u < n; ++u) {
-    const int pu = partition_of(u, n, num_parts);
-    for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u))) {
-      if (static_cast<NodeID_>(u) >= v) continue;  // each unordered edge once
-      if (partition_of(v, n, num_parts) == pu) {
-        link(static_cast<NodeID_>(u), v, comp);
-        ++internal;
-      } else {
-        ++boundary;
-      }
-    }
-  }
-  compress_all(comp);
+        for (std::int64_t u = 0; u < n; ++u) {
+          const int pu = partition_of(u, n, num_parts);
+          for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u))) {
+            // Each unordered edge once.
+            if (static_cast<NodeID_>(u) >= v) continue;
+            if (partition_of(v, n, num_parts) == pu) {
+              link(static_cast<NodeID_>(u), v, comp, probe);
+              ++internal;
+            } else {
+              ++boundary;
+            }
+          }
+        }
+        compress_all(comp, probe);
+        return std::pair{internal, boundary};
+      });
 
   // Superstep 2: translate boundary edges into root-pair messages and
   // deduplicate (a real implementation aggregates messages per rank pair).

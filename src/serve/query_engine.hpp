@@ -96,9 +96,11 @@ class QueryEngine : private SnapshotStore<NodeID_> {
       check_vertex(edges[i].u);
       check_vertex(edges[i].v);
     }
+    select_probe(TelemetryProbe{}, [&](auto probe) {
 #pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < m; ++i)
-      link(edges[i].u, edges[i].v, live_);
+      for (std::int64_t i = 0; i < m; ++i)
+        link(edges[i].u, edges[i].v, live_, probe);
+    });
     telemetry::on_edges_ingested(static_cast<std::uint64_t>(m));
   }
 

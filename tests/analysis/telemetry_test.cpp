@@ -1,10 +1,13 @@
 // Telemetry subsystem tests: dormant-by-default, single-thread
-// determinism, multi-thread consistency invariants, labels unaffected by
-// arming, per-phase accumulation, and the registry's TelemetrySink hook.
+// determinism, multi-thread consistency invariants, exact owner-exclusive
+// counts under concurrent snapshots, labels unaffected by arming,
+// per-phase accumulation, and the registry's TelemetrySink hook.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -137,6 +140,50 @@ TEST(Telemetry, ServingCountersFireAndAggregate) {
   EXPECT_EQ(c.serve_edges_ingested, 17u);
   telemetry::reset();
   EXPECT_TRUE(counters_all_zero(telemetry::snapshot()));
+}
+
+// Each block is written only by its owner thread, with a load plus store
+// instead of a locked add.  std::threads (TSan-visible, unlike OpenMP)
+// hammer the hooks while this thread snapshots: every snapshot is a
+// monotone lower bound, and the last one is exact.
+TEST(TelemetryStdThread, OwnerUpdatesSumExactlyUnderConcurrentSnapshots) {
+  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kCalls = 20000;
+  constexpr std::uint64_t kTotal = kThreads * kCalls;
+  const telemetry::ScopedEnable armed;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&running] {
+      for (std::uint64_t i = 0; i < kCalls; ++i) {
+        telemetry::on_link(/*retries=*/1, /*cas_attempts=*/2,
+                           /*cas_failures=*/0);
+        telemetry::on_compress(/*hops=*/3);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::uint64_t last = 0;
+  bool monotone = true, bounded = true;
+  while (running.load() > 0) {
+    const telemetry::Counters c = telemetry::snapshot();
+    monotone = monotone && c.link_calls >= last;
+    bounded = bounded && c.link_calls <= kTotal && c.compress_calls <= kTotal;
+    last = c.link_calls;
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_TRUE(bounded);
+
+  const telemetry::Counters c = telemetry::snapshot();
+  EXPECT_EQ(c.link_calls, kTotal);
+  EXPECT_EQ(c.link_retries, kTotal);
+  EXPECT_EQ(c.link_retry_peak, 1u);
+  EXPECT_EQ(c.cas_attempts, 2 * kTotal);
+  EXPECT_EQ(c.cas_failures, 0u);
+  EXPECT_EQ(c.compress_calls, kTotal);
+  EXPECT_EQ(c.compress_hops, 3 * kTotal);
 }
 
 TEST(Telemetry, LabelsUnaffectedByArming) {

@@ -214,7 +214,9 @@ class DurableFuzzTest : public ::testing::Test {
     // WAL corruption usually survives via torn-tail truncation; manifest
     // and checkpoint corruption is usually fatal (full validation), so a
     // recovery count of zero is only suspicious for the WAL campaign.
-    if (tag.rfind("wal", 0) == 0) EXPECT_GT(recovered_count, 0) << tag;
+    if (tag.rfind("wal", 0) == 0) {
+      EXPECT_GT(recovered_count, 0) << tag;
+    }
   }
 
   std::filesystem::path root_;

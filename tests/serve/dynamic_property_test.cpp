@@ -145,8 +145,8 @@ TEST(DynamicProperty, BridgeCutSplitsExactly) {
   // into the two triangles, with min-id labels 0 and 3.
   Engine engine(6);
   EdgeList<NodeID> edges;
-  for (const auto [u, v] : {std::pair<NodeID, NodeID>{0, 1}, {1, 2}, {2, 0},
-                            {3, 4}, {4, 5}, {5, 3}, {2, 3}}) {
+  for (const auto& [u, v] : {std::pair<NodeID, NodeID>{0, 1}, {1, 2}, {2, 0},
+                             {3, 4}, {4, 5}, {5, 3}, {2, 3}}) {
     edges.push_back({u, v});
   }
   engine.apply_inserts(edges);
