@@ -1,11 +1,14 @@
 // Ablation studies for the design choices DESIGN.md §6 calls out:
-//   1. neighbor_rounds sweep (paper fixes 2; what do 0..8 cost?)
+//   1. neighbor_rounds sweep (paper fixes 2; what do 0..8 cost?) on the
+//      default link, RemSplice, which unites the k neighbors in one pass
+//      and one compress
 //   2. compress interleaving (disable the per-round compress: tree depth
 //      blows up and the final link slows down); both rows use RootHook
 //   3. sampling strategy: neighbor rounds vs uniform edges
 //   4. sample_frequent_element sample count vs skip accuracy
-//   5. link choice: the paper's root hook (Fig 3) vs Rem splicing, the
-//      default, with and without the skip
+//   5. link choice: the paper's root hook (Fig 3), k rounds each followed
+//      by a compress, vs Rem splicing, the default, whose rounds run as
+//      one pass; with and without the skip
 #include <iostream>
 
 #include "analysis/instrumented.hpp"

@@ -192,11 +192,13 @@ inline std::uint64_t peak(std::uint64_t a, std::uint64_t b) {
 // ---- hot-path hooks -------------------------------------------------------
 // Kernels accumulate into stack locals and call these once per primitive
 // invocation; each hook is a relaxed-load branch when dormant and a handful
-// of owner-exclusive relaxed updates when armed.
+// of owner-exclusive relaxed updates when armed.  The count_* forms skip
+// the enabled() check: they are for a loop that read the switch once at
+// entry and found it armed (the armed probe select_probe picks in
+// cc/afforest.hpp).
 
-inline void on_link(std::uint64_t retries, std::uint64_t cas_attempts,
-                    std::uint64_t cas_failures) {
-  if (!enabled()) return;
+inline void count_link(std::uint64_t retries, std::uint64_t cas_attempts,
+                       std::uint64_t cas_failures) {
   detail::ThreadCounters& b = detail::local();
   detail::add(b.link_calls, 1);
   detail::add(b.link_retries, retries);
@@ -206,21 +208,33 @@ inline void on_link(std::uint64_t retries, std::uint64_t cas_attempts,
     b.link_retry_peak.store(retries, detail::kRelaxed);
 }
 
-inline void on_compress(std::uint64_t hops) {
-  if (!enabled()) return;
+inline void on_link(std::uint64_t retries, std::uint64_t cas_attempts,
+                    std::uint64_t cas_failures) {
+  if (enabled()) count_link(retries, cas_attempts, cas_failures);
+}
+
+inline void count_compress(std::uint64_t hops) {
   detail::ThreadCounters& b = detail::local();
   detail::add(b.compress_calls, 1);
   detail::add(b.compress_hops, hops);
 }
 
+inline void on_compress(std::uint64_t hops) {
+  if (enabled()) count_compress(hops);
+}
+
 /// The chunked final phase skips per span and passes vertices_skipped = 1
 /// only for a vertex's first span.
-inline void on_phase3_skip(std::uint64_t edges_skipped,
-                           std::uint64_t vertices_skipped = 1) {
-  if (!enabled()) return;
+inline void count_phase3_skip(std::uint64_t edges_skipped,
+                              std::uint64_t vertices_skipped) {
   detail::ThreadCounters& b = detail::local();
   detail::add(b.phase3_vertices_skipped, vertices_skipped);
   detail::add(b.phase3_edges_skipped, edges_skipped);
+}
+
+inline void on_phase3_skip(std::uint64_t edges_skipped,
+                           std::uint64_t vertices_skipped = 1) {
+  if (enabled()) count_phase3_skip(edges_skipped, vertices_skipped);
 }
 
 /// One outer fixpoint iteration (SV hook+shortcut round, LP sweep, ...).

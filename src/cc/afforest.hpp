@@ -26,7 +26,9 @@
 //   1. k sampling rounds: round r links edge (v, r-th neighbor of v) for
 //      every vertex, then compresses.  This processes O(|V|) edges per
 //      round and, per §V-B, links >80 % of trees within two rounds on
-//      real-world topologies.  (Or one uniform-edge pass, §IV-B.)
+//      real-world topologies.  Under RemSplice the k rounds run as one
+//      pass, each vertex uniting its first min(k, deg) neighbors, then one
+//      compress.  (Or one uniform-edge pass, §IV-B.)
 //   2. Identify the largest intermediate component c.
 //   3. Final phase: every vertex NOT in c links its remaining neighbors
 //      (from index k onward), per vertex or per Chunked span.  Vertices
@@ -38,18 +40,23 @@
 // that phases 1 and 3 call on every edge: RootHook is link() (Fig 3), and
 // RemSplice, the default, is rem_splice().  Each splice lowers a parent on
 // the climbed path, so later unions and the compress passes walk shorter
-// paths.  Only afforest_cc offers the choice: IncrementalCC and the serving
-// engines call link(), and Table II, Fig 7 and the §IV-A forest run
-// afforest_cc pinned to RootHook (docs/ALGORITHM.md, "Link choices").
+// paths.  RemSplice therefore needs no compress between sampling rounds: it
+// runs them as one pass and one compress.  The pass unites the same edges, so
+// after that compress π holds each sampled component's minimum id, as
+// after the rounds, and c and phase 3's input do not change.  RootHook
+// keeps the paper's compress after every round (Fig 5), without which its
+// trees deepen.  Only afforest_cc offers the choice: IncrementalCC and the
+// serving engines call link(), and Table II, Fig 7 and the §IV-A forest
+// run afforest_cc pinned to RootHook (docs/ALGORITHM.md, "Link choices").
 //
 // Probes.  The primitives and the driver report what they do to a probe;
 // the default, TelemetryProbe, is the telemetry reporting.  Table II's
 // counters, the Fig 7 tracer and the §IV-A witness lists are probes on
 // this driver, so they observe the code afforest_cc runs.  Every entry
 // point with a parallel union or compress loop picks its probe once, by
-// select_probe: a default probe runs as TelemetryProbe while telemetry is
-// armed and as the hook-free NullProbe while it is dormant, so a dormant
-// loop carries no telemetry check.
+// select_probe: a default probe runs as ArmedTelemetryProbe while
+// telemetry is armed and as the hook-free NullProbe while it is dormant, so
+// no loop re-reads the switch per union or compress.
 //
 // Why the §IV-D skip stays sound under splicing.  A splice moves a
 // non-root into the other tree before its old root is hooked, so a set is
@@ -136,7 +143,8 @@ struct AfforestPhaseTimes {
 
 /// Phase boundaries of Fig 5, as the driver announces them to a probe.
 enum class AfforestPhase {
-  kSample,         ///< sampling round r (the uniform pass is round 0)
+  kSample,         ///< sampling round r (RemSplice's fused pass and the
+                   ///< uniform pass are round 0)
   kCompress,       ///< the compress after sampling round r
   kFindLargest,    ///< sample_frequent_element (skip on only)
   kFinalLink,      ///< link_remaining
@@ -184,10 +192,25 @@ struct NullProbe : TelemetryProbe {
   void skipped(std::uint64_t, std::uint64_t) const {}
 };
 
+/// The telemetry reporting of a loop that found telemetry armed at entry:
+/// every hook adds to the thread's counter block without re-reading the
+/// switch.
+struct ArmedTelemetryProbe : TelemetryProbe {
+  void linked(std::int64_t, std::int64_t, bool, std::uint64_t retries,
+              std::uint64_t cas_attempts, std::uint64_t cas_failures) const {
+    telemetry::count_link(retries, cas_attempts, cas_failures);
+  }
+  void compressed(std::uint64_t hops) const { telemetry::count_compress(hops); }
+  bool counts_skips() const { return true; }
+  void skipped(std::uint64_t edges, std::uint64_t vertices) const {
+    telemetry::count_phase3_skip(edges, vertices);
+  }
+};
+
 /// Runs f(selected) with the probe a parallel loop reports to, reading
 /// telemetry::enabled() once: the default TelemetryProbe is selected as
-/// itself while telemetry is armed and as NullProbe while it is dormant or
-/// compiled out.  Any other probe is selected as itself.
+/// ArmedTelemetryProbe while telemetry is armed and as NullProbe while it
+/// is dormant or compiled out.  Any other probe is selected as itself.
 template <typename Probe, typename F>
 auto select_probe(Probe probe, F&& f) {
   if constexpr (!std::is_same_v<Probe, TelemetryProbe>) {
@@ -195,7 +218,7 @@ auto select_probe(Probe probe, F&& f) {
   } else if constexpr (!telemetry::compiled_in()) {
     return f(NullProbe{});
   } else {
-    if (telemetry::enabled()) return f(probe);
+    if (telemetry::enabled()) return f(ArmedTelemetryProbe{});
     return f(NullProbe{});
   }
 }
@@ -535,17 +558,25 @@ ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
   const auto* rounds = std::get_if<NeighborRounds>(&opts.sampling);
   const std::int32_t start =
       rounds != nullptr ? std::max(std::int32_t{0}, rounds->k) : 0;
-  for (std::int32_t r = 0; r < start; ++r) {
+  // Pass r unites neighbors [r * width, (r + 1) * width) of every vertex.
+  // RootHook runs the paper's k passes of width 1, each followed by its
+  // compress; RemSplice's splices keep its paths short without them, so it
+  // unites all k neighbors in one pass (see "Link choices" above).
+  const std::int32_t width =
+      std::is_same_v<Link, RemSplice> ? std::max(start, std::int32_t{1}) : 1;
+  for (std::int32_t r = 0; r * width < start; ++r) {
     probe.phase(AfforestPhase::kSample, r, comp);
     {
       const telemetry::ScopedPhase phase(
           "afforest.sampling", slot(&AfforestPhaseTimes::sampling_s));
+      const std::int64_t begin = std::int64_t{r} * width;
 #pragma omp parallel for schedule(dynamic, 16384)
       for (std::int64_t v = 0; v < n; ++v) {
-        if (r < g.out_degree(static_cast<NodeID_>(v))) {
+        const std::int64_t end = std::min<std::int64_t>(
+            begin + width, g.out_degree(static_cast<NodeID_>(v)));
+        for (std::int64_t i = begin; i < end; ++i)
           unite<Link>(static_cast<NodeID_>(v),
-                      g.neighbor(static_cast<NodeID_>(v), r), comp, probe);
-        }
+                      g.neighbor(static_cast<NodeID_>(v), i), comp, probe);
       }
     }
     if constexpr (Interleave) compress_phase(AfforestPhase::kCompress, r);

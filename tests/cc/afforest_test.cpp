@@ -5,14 +5,20 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "analysis/telemetry.hpp"
 #include "cc/afforest.hpp"
 #include "cc/union_find.hpp"
 #include "cc/verifier.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators/suite.hpp"
+#include "graph/generators/uniform.hpp"
+#include "util/platform.hpp"
 
 namespace afforest {
 namespace {
@@ -251,6 +257,161 @@ TEST(Afforest, DenseCliqueCorrect) {
   const auto comp = afforest_cc(g);
   EXPECT_EQ(count_components(comp), 1);
   EXPECT_TRUE(verify_cc(g, comp));
+}
+
+// Under RemSplice the k neighbor rounds run as one pass and one compress;
+// RootHook keeps the paper's compress after every round.  Both unite every
+// vertex's first min(k, deg) neighbors, so the sampled forest, c and the
+// phase-3 work agree.
+using PhaseMark = std::pair<AfforestPhase, std::int32_t>;
+using Link = decltype(AfforestOptions::link);
+
+// Records each phase boundary, and π as phase 2 begins.
+struct PhaseLog : TelemetryProbe {
+  std::vector<PhaseMark>* seen;
+  std::vector<NodeID>* sampled;
+
+  void phase(AfforestPhase which, std::int32_t round,
+             const pvector<NodeID>& comp) const {
+    seen->emplace_back(which, round);
+    if (which == AfforestPhase::kFindLargest)
+      sampled->assign(comp.begin(), comp.end());
+  }
+};
+
+struct NamedGraph {
+  std::string name;
+  Graph graph;
+};
+
+// The six suite families at scales 10–12, and one directed input.
+std::vector<NamedGraph> fused_inputs() {
+  std::vector<NamedGraph> out;
+  for (const auto& [family, scale] :
+       std::vector<std::pair<std::string, int>>{{"road", 12},
+                                                {"osm-eur", 12},
+                                                {"twitter", 11},
+                                                {"web", 11},
+                                                {"urand", 10},
+                                                {"kron", 10}})
+    out.push_back({family + "/s" + std::to_string(scale),
+                   make_suite_graph(family, scale)});
+  out.push_back({"urand/directed",
+                 build_directed(generate_uniform_edges<NodeID>(4096, 8192, 5),
+                                4096)});
+  return out;
+}
+
+const std::vector<std::int32_t> kFusedRounds = {0, 1, 2, 3, 5};
+
+const char* link_name(const Link& link) {
+  return std::holds_alternative<RemSplice>(link) ? "rem-splice" : "root-hook";
+}
+
+AfforestOptions rounds_cell(std::int32_t k, Link link) {
+  AfforestOptions opts;
+  opts.sampling = NeighborRounds{k};
+  opts.link = link;
+  return opts;
+}
+
+TEST(AfforestFusedSampling, RemSpliceSamplesInOnePass) {
+  const Graph g = make_suite_graph("kron", 10);
+  for (const std::int32_t k : kFusedRounds) {
+    for (const Link link : {Link{RootHook{}}, Link{RemSplice{}}}) {
+      const std::int32_t passes =
+          std::holds_alternative<RemSplice>(link) ? std::min(k, 1) : k;
+      std::vector<PhaseMark> want;
+      for (std::int32_t r = 0; r < passes; ++r) {
+        want.emplace_back(AfforestPhase::kSample, r);
+        want.emplace_back(AfforestPhase::kCompress, r);
+      }
+      want.emplace_back(AfforestPhase::kFindLargest, 0);
+      want.emplace_back(AfforestPhase::kFinalLink, 0);
+      want.emplace_back(AfforestPhase::kFinalCompress, 0);
+      std::vector<PhaseMark> seen;
+      std::vector<NodeID> sampled;
+      afforest_cc(g, rounds_cell(k, link), nullptr,
+                  PhaseLog{{}, &seen, &sampled});
+      EXPECT_EQ(seen, want) << link_name(link) << " k=" << k;
+
+      // Armed telemetry times the same scopes.
+      if (!telemetry::compiled_in()) continue;
+      const telemetry::ScopedEnable armed;
+      afforest_cc(g, rounds_cell(k, link));
+      std::uint64_t samples = 0, compresses = 0;
+      for (const auto& row : telemetry::phases()) {
+        if (row.name == "afforest.sampling") samples = row.count;
+        if (row.name == "afforest.compress") compresses = row.count;
+      }
+      const auto want_passes = static_cast<std::uint64_t>(passes);
+      EXPECT_EQ(samples, want_passes) << link_name(link) << " k=" << k;
+      EXPECT_EQ(compresses, want_passes + 1) << link_name(link) << " k=" << k;
+    }
+  }
+}
+
+TEST(AfforestFusedSampling, SampledForestMatchesTheRounds) {
+  for (const auto& [name, g] : fused_inputs()) {
+    for (const std::int32_t k : kFusedRounds) {
+      std::vector<PhaseMark> seen;
+      std::vector<NodeID> rounds, fused;
+      afforest_cc(g, rounds_cell(k, RootHook{}), nullptr,
+                  PhaseLog{{}, &seen, &rounds});
+      afforest_cc(g, rounds_cell(k, RemSplice{}), nullptr,
+                  PhaseLog{{}, &seen, &fused});
+      ASSERT_EQ(rounds.size(), static_cast<std::size_t>(g.num_nodes()));
+      EXPECT_TRUE(fused == rounds) << name << " k=" << k;
+    }
+  }
+}
+
+// The fused pass must leave phase 3 the work the k splice rounds left it:
+// the same unions and the same skips.  The rounds are rebuilt from the
+// primitives, in the order afforest_cc ran them under RemSplice before the
+// fusion.  One thread makes phase 3 repeatable, since its skip reads race
+// its unions.  RootHook is no reference here: phase 3 runs the link too,
+// and a splice can carry a vertex not yet checked into or out of c's
+// label, so the two links' skip counts differ on road, osm-eur and urand.
+TEST(AfforestFusedSampling, ArmedCountsMatchTheSpliceRounds) {
+  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  const int saved = num_threads();
+  set_num_threads(1);
+  for (const auto& [name, g] : fused_inputs()) {
+    const std::int64_t n = g.num_nodes();
+    for (const std::int32_t k : kFusedRounds) {
+      const AfforestOptions opts = rounds_cell(k, RemSplice{});
+      telemetry::Counters fused, rounds;
+      {
+        const telemetry::ScopedEnable armed;
+        afforest_cc(g, opts);
+        fused = telemetry::snapshot();
+      }
+      {
+        const telemetry::ScopedEnable armed;
+        auto comp = identity_labels<NodeID>(n);
+        for (std::int32_t r = 0; r < k; ++r) {
+          for (std::int64_t v = 0; v < n; ++v)
+            if (r < g.out_degree(static_cast<NodeID>(v)))
+              rem_splice(static_cast<NodeID>(v),
+                         g.neighbor(static_cast<NodeID>(v), r), comp);
+          compress_all(comp);
+        }
+        const NodeID c = sample_frequent_element(comp, opts.sample_count,
+                                                 opts.sample_seed);
+        link_remaining<RemSplice>(g, comp, k, opts, c);
+        rounds = telemetry::snapshot();
+      }
+      EXPECT_GT(fused.link_calls, 0u) << name << " k=" << k;
+      EXPECT_EQ(fused.link_calls, rounds.link_calls) << name << " k=" << k;
+      EXPECT_EQ(fused.phase3_edges_skipped, rounds.phase3_edges_skipped)
+          << name << " k=" << k;
+      EXPECT_EQ(fused.phase3_vertices_skipped,
+                rounds.phase3_vertices_skipped)
+          << name << " k=" << k;
+    }
+  }
+  set_num_threads(saved);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // select_probe: every entry point with a parallel union or compress loop
 // reads telemetry::enabled() once and runs the hook-free NullProbe while
-// dormant, TelemetryProbe while armed, and any other probe as itself.
+// dormant, ArmedTelemetryProbe (no per-hook check) while armed, and any
+// other probe as itself.
 // Built with -DAFFOREST_TELEMETRY=OFF, NullProbe is the only selection.
 #include <gtest/gtest.h>
 
@@ -54,7 +55,7 @@ TEST(ProbeSelection, DefaultProbeIsHookFreeWhileDormant) {
 TEST(ProbeSelection, DefaultProbeIsTelemetryProbeWhileArmed) {
   const telemetry::ScopedEnable armed;
   if (telemetry::compiled_in())
-    EXPECT_TRUE(selects<TelemetryProbe>(TelemetryProbe{}));
+    EXPECT_TRUE(selects<ArmedTelemetryProbe>(TelemetryProbe{}));
   else
     EXPECT_TRUE(selects<NullProbe>(TelemetryProbe{}));
 }
@@ -101,8 +102,8 @@ TEST(ProbeSelection, ArmingAfterDormantSolvesCountsLikeALoneArmedSolve) {
   set_num_threads(saved);
 }
 
-// Each entry point reports through TelemetryProbe when armed at entry and
-// reports nothing when dormant.
+// Each entry point reports through ArmedTelemetryProbe when armed at entry
+// and reports nothing when dormant.
 TEST(ProbeSelection, EveryEntryPointCountsOnlyWhenArmed) {
   const Graph g = make_suite_graph("kron", 10);
   const std::int64_t n = g.num_nodes();

@@ -331,5 +331,59 @@ TEST(StdThreadStress, SpliceFinalPhaseSkipIsSound) {
   }
 }
 
+TEST(StdThreadStress, SpliceFusedSamplingSkipIsSound) {
+  // afforest_cc's RemSplice order on std::threads: one splice pass over
+  // every vertex's first k neighbors with no compress between them, one
+  // compress, the giant label c, then phase 3 with the skip check racing
+  // splices.  The pass climbs trees that no per-round compress flattened;
+  // the labels must still equal union-find's.
+  for (const char* family : {"urand", "kron", "star-reversed"}) {
+    const auto in = fuzz::make_fuzz_input(family, 12, 3);
+    const Graph g = build_undirected(in.edges, in.num_nodes);
+    const std::int64_t n = g.num_nodes();
+    const auto truth = union_find_cc(g);
+    const auto compress_on_threads = [&](pvector<NodeID>& comp) {
+      run_on_threads(4, n, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t v = lo; v < hi; ++v)
+          compress(static_cast<NodeID>(v), comp);
+      });
+    };
+    const int rounds = std::max(2, 6 * fuzz::fuzz_budget() / 100);
+    for (int round = 0; round < rounds; ++round) {
+      const std::int32_t k = 1 + round % 3;
+      auto comp = identity_labels<NodeID>(n);
+      run_on_threads(4, n, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t v = lo; v < hi; ++v) {
+          const auto x = static_cast<NodeID>(v);
+          const std::int64_t end = std::min<std::int64_t>(k, g.out_degree(x));
+          for (std::int64_t i = 0; i < end; ++i)
+            rem_splice(x, g.neighbor(x, i), comp);
+        }
+      });
+      compress_on_threads(comp);
+      AfforestOptions opts;
+      const NodeID c = sample_frequent_element(comp, opts.sample_count,
+                                               opts.sample_seed + round);
+      // Interleaved ownership, as in SpliceFinalPhaseSkipIsSound.
+      std::vector<std::thread> threads;
+      for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+          for (std::int64_t v = t; v < n; v += 4) {
+            const auto x = static_cast<NodeID>(v);
+            if (should_skip(x, comp, opts, c)) continue;
+            for (std::int64_t i = k; i < g.out_degree(x); ++i)
+              rem_splice(x, g.neighbor(x, i), comp);
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      compress_on_threads(comp);
+      for (std::int64_t v = 0; v < n; ++v)
+        ASSERT_EQ(comp[v], truth[v])
+            << family << " k=" << k << " round " << round << " v=" << v;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace afforest
