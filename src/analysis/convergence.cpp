@@ -32,17 +32,6 @@ namespace {
 using NodeID = Graph::NodeID;
 using Batch = EdgeList<NodeID>;
 
-/// All unordered edges (u < v), in row order.
-Batch all_edges(const Graph& g) {
-  Batch edges;
-  edges.reserve(static_cast<std::size_t>(g.num_edges()));
-  for (std::int64_t u = 0; u < g.num_nodes(); ++u)
-    for (NodeID v : g.out_neigh(static_cast<NodeID>(u)))
-      if (static_cast<NodeID>(u) < v)
-        edges.push_back({static_cast<NodeID>(u), v});
-  return edges;
-}
-
 std::vector<Batch> split_batches(Batch edges, int num_batches) {
   std::vector<Batch> out;
   const std::size_t total = edges.size();
@@ -64,11 +53,11 @@ std::vector<Batch> make_batches(const Graph& g, const ConvergenceOptions& o) {
     case PartitionStrategy::kRowPartition: {
       // Contiguous vertex blocks; a batch holds all edges whose source row
       // falls in the block (each unordered edge assigned to its lower row).
-      Batch edges = all_edges(g);  // already sorted by source row
+      Batch edges = lower_edges(g);  // already sorted by source row
       return split_batches(std::move(edges), o.num_batches);
     }
     case PartitionStrategy::kRandomEdges: {
-      Batch edges = all_edges(g);
+      Batch edges = lower_edges(g);
       Xoshiro256 rng(o.shuffle_seed);
       for (std::size_t i = edges.size(); i > 1; --i)
         std::swap(edges[i - 1], edges[rng.next_bounded(i)]);
@@ -97,7 +86,7 @@ std::vector<Batch> make_batches(const Graph& g, const ConvergenceOptions& o) {
       std::vector<Batch> out;
       out.push_back(spanning_forest(g));
       // Remainder in row order so the tail is comparable to row sampling.
-      Batch rest = all_edges(g);
+      Batch rest = lower_edges(g);
       auto rest_batches = split_batches(std::move(rest), o.num_batches);
       for (auto& b : rest_batches) out.push_back(std::move(b));
       return out;

@@ -2,9 +2,9 @@
 // local iteration counts of Afforest's link loop, outer iteration counts of
 // SV, and the maximal component-tree depth each algorithm builds.
 //
-// Afforest's counts come from a probe on afforest_cc itself (LinkCounter),
-// so Table II observes the driver's own code.  SV's instrumented copy is a
-// separate loop with counters.
+// Both columns come from one probe, LinkCounter, on the drivers themselves:
+// afforest_cc for Afforest and the SV fixpoint (shiloach_vishkin) for SV,
+// so Table II observes the code the kernels run.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 
 #include "cc/afforest.hpp"
 #include "cc/common.hpp"
-#include "cc/guards.hpp"
 #include "cc/shiloach_vishkin.hpp"
 #include "graph/csr_graph.hpp"
 #include "util/parallel.hpp"
@@ -55,10 +54,11 @@ struct LinkStats {
   }
 };
 
-/// Table II's counters as a probe on link() or afforest_cc: link calls and
-/// link-loop iterations, 1 + retries per call (the first is the
-/// "validation" iteration §V-A describes), in per-thread slots, plus the
-/// deepest π tree seen just before each compress.
+/// Table II's counters as a probe on link(), afforest_cc or the SV
+/// fixpoint: link calls and link-loop iterations, 1 + retries per call (the
+/// first is the "validation" iteration §V-A describes), in per-thread
+/// slots, plus the deepest π tree seen just before each compress or SV
+/// shortcut.
 class LinkCounter {
  public:
   struct Probe : TelemetryProbe {
@@ -74,7 +74,8 @@ class LinkCounter {
     void phase(AfforestPhase which, std::int32_t,
                const pvector<NodeID_>& comp) const {
       if (which == AfforestPhase::kCompress ||
-          which == AfforestPhase::kFinalCompress)
+          which == AfforestPhase::kFinalCompress ||
+          which == AfforestPhase::kSVShortcut)
         counter->max_depth_ =
             std::max(counter->max_depth_, max_tree_depth(comp));
     }
@@ -120,54 +121,22 @@ LinkStats afforest_instrumented(const CSRGraph<NodeID_>& g,
   return counter.stats();
 }
 
-/// SV counters for the same table: outer iterations and max tree depth
-/// probed after every hook phase.
+/// SV's Table II counters: iterations, and the deepest π tree seen.
 struct SVStats {
   std::int64_t iterations = 0;
   std::int64_t max_tree_depth = 0;
 };
 
+/// shiloach_vishkin observed by a LinkCounter.
 template <typename NodeID_>
 SVStats shiloach_vishkin_instrumented(
     const CSRGraph<NodeID_>& g,
     ComponentLabels<NodeID_>* out_labels = nullptr) {
-  const std::int64_t n = g.num_nodes();
-  ComponentLabels<NodeID_> comp = identity_labels<NodeID_>(n);
+  LinkCounter counter;
   SVStats stats;
-  const std::int64_t ceiling = iteration_ceiling(n);
-  bool change = true;
-  while (change) {
-    change = false;
-    ++stats.iterations;
-    check_convergence_guard("shiloach_vishkin_instrumented",
-                            stats.iterations, ceiling);
-    // The hook pass mirrors sv_hook_edge's discipline exactly: label reads
-    // are atomic (they race with sibling hooks' atomic_stores) and the
-    // iteration flag folds through reduction(||).  The plain-read,
-    // shared-flag formulation this replaces was the same race class PR 1
-    // fixed in the production kernels — the instrumented mirror had kept
-    // it until afforest-lint flagged the file.
-#pragma omp parallel for reduction(|| : change) schedule(dynamic, 16384)
-    for (std::int64_t u = 0; u < n; ++u) {
-      for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u))) {
-        const NodeID_ comp_u = atomic_load(comp[u]);
-        const NodeID_ comp_v = atomic_load(comp[v]);
-        if (comp_u == comp_v) continue;
-        const NodeID_ high_comp = std::max(comp_u, comp_v);
-        const NodeID_ low_comp = std::min(comp_u, comp_v);
-        if (high_comp == atomic_load(comp[high_comp])) {
-          change = true;
-          atomic_store(comp[high_comp], low_comp);
-        }
-      }
-    }
-    stats.max_tree_depth =
-        std::max(stats.max_tree_depth, max_tree_depth(comp));
-    // Shortcut via the shared atomic-access compress (sibling threads
-    // compress overlapping chains, so plain accesses would race).
-    compress_all(comp);
-  }
-  if (out_labels != nullptr) *out_labels = std::move(comp);
+  auto labels = shiloach_vishkin(g, &stats.iterations, counter.probe());
+  stats.max_tree_depth = counter.stats().max_tree_depth;
+  if (out_labels != nullptr) *out_labels = std::move(labels);
   return stats;
 }
 

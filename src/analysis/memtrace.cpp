@@ -6,6 +6,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "cc/shiloach_vishkin.hpp"
+
 namespace afforest {
 
 MemTrace::MemTrace() : per_thread_(static_cast<std::size_t>(
@@ -86,21 +88,13 @@ void MemTrace::render_heatmap(std::ostream& os, int buckets,
   }
 }
 
-TracedPi::TracedPi(std::int64_t n, MemTrace& trace)
-    : data_(static_cast<std::size_t>(n)), trace_(trace) {}
-
 namespace {
 
 using NodeID = std::int32_t;
 
-void traced_init(TracedPi& pi, MemTrace& trace) {
-  trace.begin_phase("I");
-  for (std::int64_t v = 0; v < pi.size(); ++v)
-    pi.store(v, static_cast<NodeID>(v));
-}
-
-// Forwards every π access of an afforest_cc solve to a MemTrace and names
-// the phases as Fig 7 does.  A CAS is recorded as one write.
+// Forwards every π access of an afforest_cc or shiloach_vishkin solve to a
+// MemTrace and names the phases as Fig 7 does.  A CAS is recorded as one
+// write.
 struct TraceProbe : TelemetryProbe {
   MemTrace* trace;
 
@@ -115,59 +109,37 @@ struct TraceProbe : TelemetryProbe {
       case AfforestPhase::kFindLargest: trace->begin_phase("F"); break;
       case AfforestPhase::kFinalLink: trace->begin_phase("L*"); break;
       case AfforestPhase::kFinalCompress: trace->begin_phase("C*"); break;
+      case AfforestPhase::kSVHook: trace->begin_phase("H" + r); break;
+      case AfforestPhase::kSVStagnant: trace->begin_phase("T" + r); break;
+      case AfforestPhase::kSVShortcut: trace->begin_phase("S" + r); break;
     }
   }
 };
 
-ComponentLabels<NodeID> extract_labels(const TracedPi& pi) {
-  ComponentLabels<NodeID> out(static_cast<std::size_t>(pi.size()));
-  for (std::int64_t v = 0; v < pi.size(); ++v) out[v] = pi.raw()[v];
-  return out;
+// Runs solve(probe) under a fresh trace.  identity_labels writes every
+// slot once, before the driver's first phase boundary: phase I.
+template <typename Solve>
+TraceResult traced(const Graph& g, Solve solve) {
+  TraceResult result;
+  result.trace.begin_phase("I");
+  for (std::int64_t v = 0; v < g.num_nodes(); ++v)
+    result.trace.record(v, true);
+  result.labels = solve(TraceProbe{{}, &result.trace});
+  return result;
 }
 
 }  // namespace
 
 TraceResult run_traced_sv(const Graph& g) {
-  TraceResult result;
-  TracedPi pi(g.num_nodes(), result.trace);
-  traced_init(pi, result.trace);
-  bool change = true;
-  int iter = 0;
-  while (change) {
-    change = false;
-    const std::string round = std::to_string(++iter);
-    result.trace.begin_phase("H" + round);
-    for (std::int64_t u = 0; u < g.num_nodes(); ++u) {
-      for (NodeID v : g.out_neigh(static_cast<NodeID>(u))) {
-        const NodeID comp_u = pi.load(u);
-        const NodeID comp_v = pi.load(v);
-        if (comp_u == comp_v) continue;
-        const NodeID high = std::max(comp_u, comp_v);
-        const NodeID low = std::min(comp_u, comp_v);
-        if (pi.load(high) == high) {
-          change = true;
-          pi.store(high, low);
-        }
-      }
-    }
-    result.trace.begin_phase("S" + round);
-    for (std::int64_t v = 0; v < g.num_nodes(); ++v) {
-      while (pi.load(v) != pi.load(pi.load(v))) pi.store(v, pi.load(pi.load(v)));
-    }
-  }
-  result.labels = extract_labels(pi);
-  return result;
+  return traced(g, [&](TraceProbe probe) {
+    return shiloach_vishkin(g, nullptr, probe);
+  });
 }
 
 TraceResult run_traced_afforest(const Graph& g, AfforestOptions opts) {
-  TraceResult result;
-  // identity_labels writes every slot once, before the driver's first
-  // phase boundary.
-  result.trace.begin_phase("I");
-  for (std::int64_t v = 0; v < g.num_nodes(); ++v)
-    result.trace.record(v, true);
-  result.labels = afforest_cc(g, opts, nullptr, TraceProbe{{}, &result.trace});
-  return result;
+  return traced(g, [&](TraceProbe probe) {
+    return afforest_cc(g, opts, nullptr, probe);
+  });
 }
 
 }  // namespace afforest

@@ -3,12 +3,12 @@
 // The paper visualizes which π addresses each algorithm phase touches
 // (heat-map) and which thread touches them (scatter).  That is an
 // algorithmic property — which indices are read/written when — so a
-// software shim reproduces it exactly: TracedPi wraps the label array and
-// logs every load/store with (phase, thread, index, is_write).
+// software trace reproduces it exactly: a probe on the driver logs every
+// π load and store with (phase, thread, index, is_write).
 //
-// run_traced_sv runs a serial copy of SV through the shim;
-// run_traced_afforest runs afforest_cc itself with a probe that records
-// every π access.  Both return the trace plus the resulting labels.
+// run_traced_sv runs shiloach_vishkin, and run_traced_afforest runs
+// afforest_cc, each under that recording probe, so the trace observes the
+// code the kernels run.  Both return the trace plus the resulting labels.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include "cc/afforest.hpp"
 #include "cc/common.hpp"
 #include "graph/csr_graph.hpp"
-#include "util/pvector.hpp"
 
 namespace afforest {
 
@@ -38,7 +37,7 @@ class MemTrace {
   /// subsequent records are attributed to it.  Returns the phase id.
   int begin_phase(const std::string& name);
 
-  /// Thread-safe (per-thread buffers); called by TracedPi.
+  /// Thread-safe (per-thread buffers); called by the recording probe.
   void record(std::int64_t index, bool is_write);
 
   [[nodiscard]] const std::vector<std::string>& phase_names() const {
@@ -66,37 +65,13 @@ class MemTrace {
   std::vector<std::vector<MemEvent>> per_thread_;
 };
 
-/// Label array shim that records every access.
-class TracedPi {
- public:
-  TracedPi(std::int64_t n, MemTrace& trace);
-
-  std::int32_t load(std::int64_t i) const {
-    trace_.record(i, false);
-    return data_[i];
-  }
-  void store(std::int64_t i, std::int32_t v) {
-    trace_.record(i, true);
-    data_[i] = v;
-  }
-  /// Untraced view for result extraction.
-  [[nodiscard]] const pvector<std::int32_t>& raw() const { return data_; }
-  [[nodiscard]] std::int64_t size() const {
-    return static_cast<std::int64_t>(data_.size());
-  }
-
- private:
-  mutable pvector<std::int32_t> data_;
-  MemTrace& trace_;
-};
-
 struct TraceResult {
   MemTrace trace;
   ComponentLabels<std::int32_t> labels;
 };
 
-/// Shiloach–Vishkin through the tracer.  Phases: I, then per iteration
-/// H<i> (hook) and S<i> (shortcut).
+/// shiloach_vishkin(g) through the tracer.  Phases: I, then per iteration
+/// H<i> (hook) and S<i> (shortcut, compress_all: 2 + 2·hops per vertex).
 TraceResult run_traced_sv(const Graph& g);
 
 /// afforest_cc(g, opts) through the tracer, for every option cell.  Phases:

@@ -4,16 +4,16 @@
 // bulk of edge traffic.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <variant>
+#include <vector>
 
-#include "analysis/telemetry.hpp"
 #include "cc/afforest.hpp"
 #include "cc/common.hpp"
 #include "graph/csr_graph.hpp"
+#include "util/platform.hpp"
 
 namespace afforest {
 
@@ -34,38 +34,72 @@ struct AfforestWorkStats {
   }
 };
 
-/// Runs afforest_cc with telemetry armed and reset (as
-/// bench::measure_counters does) and reads the counts off its Report:
-/// neighbor rounds link Σ min(deg, k) edges, the final phase the rest of
-/// link_calls.  NeighborRounds sampling only; builds with telemetry
-/// compiled out report only sampled_edges.
+/// The accounting as a probe on afforest_cc, in per-thread slots: unions
+/// per phase (sampling, then the final link) and phase 3's skips.
+class WorkCounter {
+ public:
+  struct Probe : TelemetryProbe {
+    WorkCounter* counter;
+
+    void linked(std::int64_t, std::int64_t, bool, std::uint64_t,
+                std::uint64_t, std::uint64_t) const {
+      ++(counter->local().*(counter->linking_));
+    }
+    bool counts_skips() const { return true; }
+    void skipped(std::uint64_t edges, std::uint64_t vertices) const {
+      AfforestWorkStats& slot = counter->local();
+      slot.skipped_edges += static_cast<std::int64_t>(edges);
+      slot.skipped_vertices += static_cast<std::int64_t>(vertices);
+    }
+    template <typename NodeID_>
+    void phase(AfforestPhase which, std::int32_t,
+               const pvector<NodeID_>&) const {
+      if (which == AfforestPhase::kFinalLink)
+        counter->linking_ = &AfforestWorkStats::final_edges;
+    }
+  };
+
+  WorkCounter() : slots_(static_cast<std::size_t>(num_threads())) {}
+  WorkCounter(const WorkCounter&) = delete;  // probes hold its address
+  WorkCounter& operator=(const WorkCounter&) = delete;
+
+  [[nodiscard]] Probe probe() { return Probe{{}, this}; }
+
+  [[nodiscard]] AfforestWorkStats stats() const {
+    AfforestWorkStats stats;
+    for (const Slot& slot : slots_) {
+      stats.sampled_edges += slot.sampled_edges;
+      stats.final_edges += slot.final_edges;
+      stats.skipped_edges += slot.skipped_edges;
+      stats.skipped_vertices += slot.skipped_vertices;
+    }
+    return stats;
+  }
+
+ private:
+  // One thread's partial AfforestWorkStats, alone on its cache line.
+  struct alignas(kCacheLineBytes) Slot : AfforestWorkStats {};
+  Slot& local() { return slots_[static_cast<std::size_t>(thread_id())]; }
+  std::vector<Slot> slots_;
+  // The count a union adds to: sampled_edges until the final link starts.
+  std::int64_t AfforestWorkStats::*linking_ = &AfforestWorkStats::sampled_edges;
+};
+
+/// Runs afforest_cc observed by a WorkCounter.  NeighborRounds sampling
+/// only: phase 3 re-links a uniform sample, so sampled + final + skipped
+/// would exceed the stored edges.
 template <typename NodeID_>
 AfforestWorkStats afforest_with_work_stats(
     const CSRGraph<NodeID_>& g, const AfforestOptions& opts = {},
     ComponentLabels<NodeID_>* out_labels = nullptr) {
-  const auto* rounds = std::get_if<NeighborRounds>(&opts.sampling);
-  if (rounds == nullptr)
+  if (!std::holds_alternative<NeighborRounds>(opts.sampling))
     throw std::invalid_argument(
         "afforest_with_work_stats: needs NeighborRounds sampling");
-  const telemetry::ScopedEnable armed;
-  ComponentLabels<NodeID_> labels = afforest_cc(g, opts);
-  const telemetry::Report report = telemetry::capture();
-  AfforestWorkStats stats;
-  const std::int64_t k = std::max(std::int32_t{0}, rounds->k);
-  for (std::int64_t v = 0; v < g.num_nodes(); ++v)
-    stats.sampled_edges +=
-        std::min<std::int64_t>(k, g.out_degree(static_cast<NodeID_>(v)));
-  if (telemetry::compiled_in()) {
-    stats.final_edges =
-        static_cast<std::int64_t>(report.counters.link_calls) -
-        stats.sampled_edges;
-    stats.skipped_edges =
-        static_cast<std::int64_t>(report.counters.phase3_edges_skipped);
-    stats.skipped_vertices =
-        static_cast<std::int64_t>(report.counters.phase3_vertices_skipped);
-  }
+  WorkCounter counter;
+  ComponentLabels<NodeID_> labels = afforest_cc(g, opts, nullptr,
+                                                counter.probe());
   if (out_labels != nullptr) *out_labels = std::move(labels);
-  return stats;
+  return counter.stats();
 }
 
 }  // namespace afforest

@@ -141,7 +141,9 @@ struct AfforestPhaseTimes {
   }
 };
 
-/// Phase boundaries of Fig 5, as the driver announces them to a probe.
+/// Phase boundaries as the drivers announce them to a probe: Fig 5's from
+/// afforest_cc, and Fig 1's, per iteration r, from the Shiloach–Vishkin
+/// fixpoint (cc/shiloach_vishkin.hpp).
 enum class AfforestPhase {
   kSample,         ///< sampling round r (RemSplice's fused pass and the
                    ///< uniform pass are round 0)
@@ -149,6 +151,9 @@ enum class AfforestPhase {
   kFindLargest,    ///< sample_frequent_element (skip on only)
   kFinalLink,      ///< link_remaining
   kFinalCompress,  ///< the last compress
+  kSVHook,         ///< SV's hook pass in iteration r
+  kSVStagnant,     ///< its stagnant-root pass (shiloach_vishkin_original)
+  kSVShortcut,     ///< its shortcut, compress_all
 };
 
 /// The default probe: the telemetry reporting, with empty access hooks.

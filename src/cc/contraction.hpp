@@ -34,11 +34,7 @@ ComponentLabels<NodeID_> contraction_cc(const CSRGraph<NodeID_>& g,
   ComponentLabels<NodeID_> comp = identity_labels<NodeID_>(n);
 
   // Current quotient edge set, in original-id space, deduplicated lazily.
-  EdgeList<NodeID_> edges;
-  for (std::int64_t u = 0; u < n; ++u)
-    for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
-      if (static_cast<NodeID_>(u) < v)
-        edges.push_back({static_cast<NodeID_>(u), v});
+  EdgeList<NodeID_> edges = lower_edges(g);
 
   // Every round merges at least one pair while edges remain (a surviving
   // edge has distinct representatives, and the next hook pass points one

@@ -86,14 +86,7 @@ const std::vector<AlgorithmEntry>& cc_algorithms() {
           "Shiloach-Vishkin over an explicit edge list "
           "(Soman et al.'s GPU formulation on CPU)",
           [](const Graph& g) {
-            EdgeList<std::int32_t> edges;
-            edges.reserve(
-                static_cast<std::size_t>(g.num_stored_edges() / 2));
-            for (std::int64_t u = 0; u < g.num_nodes(); ++u)
-              for (std::int32_t v : g.out_neigh(static_cast<std::int32_t>(u)))
-                if (static_cast<std::int32_t>(u) < v)
-                  edges.push_back({static_cast<std::int32_t>(u), v});
-            return shiloach_vishkin_edgelist(edges, g.num_nodes());
+            return shiloach_vishkin_edgelist(lower_edges(g), g.num_nodes());
           }),
       symmetric_only("lp", "synchronous min-label propagation",
                      [](const Graph& g) { return label_propagation(g); }),

@@ -1,9 +1,10 @@
 // Edge-list representation: the exchange format between generators, file
-// I/O, and the CSR builder.
+// I/O, and the CSR builder, and the way back from a symmetric CSR graph.
 #pragma once
 
 #include <cstdint>
 
+#include "graph/csr_graph.hpp"
 #include "util/pvector.hpp"
 
 namespace afforest {
@@ -25,5 +26,17 @@ struct EdgePair {
 
 template <typename NodeID_>
 using EdgeList = pvector<EdgePair<NodeID_>>;
+
+/// Every edge of a symmetric graph once, as (u, v) with u < v, in row order.
+template <typename NodeID_>
+[[nodiscard]] EdgeList<NodeID_> lower_edges(const CSRGraph<NodeID_>& g) {
+  EdgeList<NodeID_> edges;
+  edges.reserve(static_cast<std::size_t>(g.num_edges()));
+  for (std::int64_t u = 0; u < g.num_nodes(); ++u)
+    for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
+      if (static_cast<NodeID_>(u) < v)
+        edges.push_back({static_cast<NodeID_>(u), v});
+  return edges;
+}
 
 }  // namespace afforest

@@ -86,21 +86,15 @@ template <typename NodeID_>
                                         const Permutation<NodeID_>& perm) {
   if (static_cast<std::int64_t>(perm.size()) != g.num_nodes())
     throw std::invalid_argument("permutation size != num_nodes");
+  // Every arc of a directed graph; each edge of a symmetric one once (u < v).
   EdgeList<NodeID_> edges;
   edges.reserve(static_cast<std::size_t>(g.num_edges()));
   for (std::int64_t u = 0; u < g.num_nodes(); ++u)
     for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
-      if (static_cast<NodeID_>(u) < v)
+      if (g.directed() || static_cast<NodeID_>(u) < v)
         edges.push_back({perm[u], perm[v]});
   BuilderOptions opts;
   opts.symmetrize = !g.directed();
-  if (g.directed()) {
-    // Directed graphs: emit every arc, not just u<v.
-    edges.clear();
-    for (std::int64_t u = 0; u < g.num_nodes(); ++u)
-      for (NodeID_ v : g.out_neigh(static_cast<NodeID_>(u)))
-        edges.push_back({perm[u], perm[v]});
-  }
   return Builder<NodeID_>(opts).build(edges, g.num_nodes());
 }
 

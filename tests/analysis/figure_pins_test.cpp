@@ -1,6 +1,6 @@
 // The paper figures' counts on one thread, pinned exactly: Table II's link
-// counters, §V-A's serial adversarial star, and Fig 7's per-phase π access
-// counts.  They are deterministic only on a one-thread team, which the
+// counters and SV columns, §V-A's serial adversarial star, and Fig 7's
+// per-phase π access counts for Afforest and SV.  They are deterministic only on a one-thread team, which the
 // fixture sets.  A change to the driver or its primitives that moves one
 // of these numbers shows here first; update the pin with the reason.
 #include <gtest/gtest.h>
@@ -38,6 +38,20 @@ TEST_F(FigurePins, TableIICountsAtScale10) {
     const auto stats = afforest_instrumented(make_suite_graph(pin.graph, 10));
     EXPECT_EQ(stats.link_calls, pin.link_calls) << pin.graph;
     EXPECT_EQ(stats.local_iterations, pin.local_iterations) << pin.graph;
+    EXPECT_EQ(stats.max_tree_depth, pin.max_tree_depth) << pin.graph;
+  }
+}
+
+TEST_F(FigurePins, TableIISVCountsAtScale10) {
+  struct Pin {
+    const char* graph;
+    std::int64_t iterations, max_tree_depth;
+  };
+  for (const Pin& pin :
+       {Pin{"road", 2, 2}, Pin{"urand", 2, 5}, Pin{"kron", 2, 1}}) {
+    const auto stats =
+        shiloach_vishkin_instrumented(make_suite_graph(pin.graph, 10));
+    EXPECT_EQ(stats.iterations, pin.iterations) << pin.graph;
     EXPECT_EQ(stats.max_tree_depth, pin.max_tree_depth) << pin.graph;
   }
 }
@@ -85,6 +99,18 @@ TEST_F(FigurePins, Fig7PhaseAccessesWithoutSkip) {
       {"I", 256}, {"L1", 1010}, {"C1", 548},  {"L2", 1032},
       {"C2", 854}, {"L*", 6900}, {"C*", 512}};
   EXPECT_EQ(phase_accesses(run_traced_afforest(g, fig3_cell(false))), want);
+}
+
+// SV's hook makes 2 accesses per edge, a third when the labels differ and
+// a fourth when the higher one is a root and is hooked.  Its shortcut is
+// compress_all: over the 256 vertices, S1 makes 140 hops (512 + 280 =
+// 792) and S2 none (512).  The serial Fig 7 copy this probe replaced made
+// 3 + 6·hops accesses per vertex, and gave 1608 and 768.
+TEST_F(FigurePins, Fig7SVPhaseAccesses) {
+  const Graph g = make_suite_graph("urand", 8);
+  const std::map<std::string, std::int64_t> want = {
+      {"I", 256}, {"H1", 10990}, {"S1", 792}, {"H2", 7924}, {"S2", 512}};
+  EXPECT_EQ(phase_accesses(run_traced_sv(g)), want);
 }
 
 }  // namespace

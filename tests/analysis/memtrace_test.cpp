@@ -82,15 +82,6 @@ TEST(MemTrace, RenderHeatmapProducesRowPerPhase) {
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
 }
 
-TEST(TracedPi, LoadsAndStoresAreRecorded) {
-  MemTrace trace;
-  trace.begin_phase("A");
-  TracedPi pi(4, trace);
-  pi.store(2, 7);
-  EXPECT_EQ(pi.load(2), 7);
-  EXPECT_EQ(trace.total_accesses(), 2);
-}
-
 TEST(TracedSV, ComputesCorrectComponents) {
   const Graph g = make_suite_graph("kron", 9);
   const auto result = run_traced_sv(g);

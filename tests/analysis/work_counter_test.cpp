@@ -1,11 +1,9 @@
-// Work accounting: the §IV-D edge-saving quantification, read off the
-// telemetry Report of an armed afforest_cc solve (so the counts that need
-// counters skip in -DAFFOREST_TELEMETRY=OFF builds).
+// Work accounting: the §IV-D edge-saving quantification, counted by a
+// probe on afforest_cc (so it needs no telemetry and runs in every build).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "analysis/telemetry.hpp"
 #include "analysis/work_counter.hpp"
 #include "cc/union_find.hpp"
 #include "cc/verifier.hpp"
@@ -18,7 +16,6 @@ namespace {
 using NodeID = std::int32_t;
 
 TEST(WorkCounter, AccountingIdentityCoversEveryStoredEdge) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   // sampled + final + skipped must equal the stored (directed) edge count.
   for (const auto* name : {"road", "twitter", "urand", "kron"}) {
     const Graph g = make_suite_graph(name, 10);
@@ -30,7 +27,6 @@ TEST(WorkCounter, AccountingIdentityCoversEveryStoredEdge) {
 }
 
 TEST(WorkCounter, NoSkipMeansNoSkippedEdges) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   const Graph g = make_suite_graph("urand", 10);
   AfforestOptions opts;
   opts.skip_largest = false;
@@ -44,7 +40,6 @@ TEST(WorkCounter, GiantComponentGraphSkipsMostEdges) {
   // urand is one giant component: after two neighbor rounds nearly every
   // vertex sits in it, so the skip avoids the bulk of the final phase —
   // the paper's §IV-D claim.
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   const Graph g = make_suite_graph("urand", 12);
   const auto stats = afforest_with_work_stats(g);
   EXPECT_GT(stats.skip_fraction(g.num_stored_edges()), 0.5);
@@ -72,8 +67,8 @@ TEST(WorkCounter, SampledEdgesMatchNeighborRoundFormula) {
 }
 
 TEST(WorkCounter, UniformSamplingRejected) {
-  // A uniform sample's size is not in the Report, so the split between
-  // sampled and final links cannot be derived.
+  // Phase 3 re-links a uniform sample, so the accounting identity would not
+  // hold.
   const Graph g = make_suite_graph("kron", 8);
   AfforestOptions opts;
   opts.sampling = UniformEdges{0.1};

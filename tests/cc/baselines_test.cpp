@@ -1,7 +1,15 @@
 // Correctness tests for all baseline algorithms (SV CSR/edge-list, LP both
-// variants, BFS-CC, DOBFS-CC) against the union-find reference.
+// variants, BFS-CC, DOBFS-CC) against the union-find reference, and the
+// phases the one SV fixpoint announces to a probe.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <utility>
+#include <vector>
+
+#include "analysis/telemetry.hpp"
 #include "cc/bfs_cc.hpp"
 #include "cc/dobfs_cc.hpp"
 #include "cc/label_propagation.hpp"
@@ -102,6 +110,133 @@ TEST(ShiloachVishkinEdgeList, EmptyEdgeList) {
   EdgeList<NodeID> edges;
   const auto comp = shiloach_vishkin_edgelist(edges, 10);
   EXPECT_EQ(count_components(comp), 10);
+}
+
+// ------------------------------------------------------ the one SV driver
+
+using PhaseLog = std::vector<std::pair<AfforestPhase, std::int32_t>>;
+
+// Records every phase the SV fixpoint announces, in order.
+struct PhaseRecorder : TelemetryProbe {
+  PhaseLog* log;
+
+  template <typename NodeID_>
+  void phase(AfforestPhase which, std::int32_t iteration,
+             const pvector<NodeID_>&) const {
+    log->emplace_back(which, iteration);
+  }
+};
+
+// The announcements of `iterations` iterations, each of them `passes`.
+PhaseLog per_iteration(std::int64_t iterations,
+                       std::initializer_list<AfforestPhase> passes) {
+  PhaseLog want;
+  for (std::int32_t i = 0; i < iterations; ++i)
+    for (const AfforestPhase which : passes) want.emplace_back(which, i);
+  return want;
+}
+
+// Two components, on which SV needs more than one iteration.
+Graph two_paths() {
+  EdgeList<NodeID> edges;
+  for (NodeID i = 1; i < 100; ++i)
+    edges.push_back({static_cast<NodeID>(i - 1), i});
+  for (NodeID i = 101; i < 200; ++i)
+    edges.push_back({i, static_cast<NodeID>(i - 1)});
+  return build_undirected(edges, 200);
+}
+
+TEST(SVDriver, RowsAnnounceHookThenShortcutPerIteration) {
+  for (const Graph& g : {two_paths(), make_suite_graph("road", 10)}) {
+    PhaseLog log;
+    std::int64_t iters = 0;
+    const auto comp = shiloach_vishkin(g, &iters, PhaseRecorder{{}, &log});
+    EXPECT_TRUE(labels_equivalent(comp, union_find_cc(g)));
+    EXPECT_GE(iters, 2);
+    EXPECT_EQ(log, per_iteration(iters, {AfforestPhase::kSVHook,
+                                         AfforestPhase::kSVShortcut}));
+  }
+}
+
+TEST(SVDriver, EdgeListAnnouncesHookThenShortcutPerIteration) {
+  const Graph g = two_paths();
+  PhaseLog log;
+  std::int64_t iters = 0;
+  const auto comp = shiloach_vishkin_edgelist(lower_edges(g), g.num_nodes(),
+                                              &iters, PhaseRecorder{{}, &log});
+  EXPECT_TRUE(labels_equivalent(comp, union_find_cc(g)));
+  EXPECT_GE(iters, 2);
+  EXPECT_EQ(log, per_iteration(iters, {AfforestPhase::kSVHook,
+                                       AfforestPhase::kSVShortcut}));
+}
+
+TEST(SVDriver, OriginalAnnouncesTheStagnantPassBetween) {
+  const Graph g = two_paths();
+  PhaseLog log;
+  std::int64_t iters = 0;
+  const auto comp =
+      shiloach_vishkin_original(g, &iters, PhaseRecorder{{}, &log});
+  EXPECT_TRUE(labels_equivalent(comp, union_find_cc(g)));
+  EXPECT_GE(iters, 2);
+  EXPECT_EQ(log, per_iteration(iters, {AfforestPhase::kSVHook,
+                                       AfforestPhase::kSVStagnant,
+                                       AfforestPhase::kSVShortcut}));
+}
+
+TEST(SVDriver, HookReportsTheRootsItJoined) {
+  auto comp = identity_labels<NodeID>(4);
+  std::pair<NodeID, NodeID> joined{-1, -1};
+  EXPECT_TRUE(sv_hook_edge<NodeID>(1, 3, comp, {}, &joined));
+  EXPECT_EQ(joined, std::make_pair(NodeID{3}, NodeID{1}));
+  EXPECT_EQ(comp[3], 1);
+  joined = {-1, -1};
+  EXPECT_FALSE(sv_hook_edge<NodeID>(3, 1, comp, {}, &joined));
+  EXPECT_EQ(joined, std::make_pair(NodeID{-1}, NodeID{-1}));
+}
+
+// The default probe is selected once per call: dormant, the fixpoint
+// reports nothing; armed, every shortcut counts a compress per vertex.
+TEST(SVDriver, DefaultProbeCountsOnlyWhenArmed) {
+  const Graph g = two_paths();
+  const auto n = static_cast<std::uint64_t>(g.num_nodes());
+  const EdgeList<NodeID> edges = lower_edges(g);
+  const std::vector<std::pair<const char*, std::function<std::int64_t()>>>
+      entry_points = {
+          {"shiloach_vishkin",
+           [&] {
+             std::int64_t iters = 0;
+             shiloach_vishkin(g, &iters);
+             return iters;
+           }},
+          {"shiloach_vishkin_original",
+           [&] {
+             std::int64_t iters = 0;
+             shiloach_vishkin_original(g, &iters);
+             return iters;
+           }},
+          {"shiloach_vishkin_edgelist", [&] {
+             std::int64_t iters = 0;
+             shiloach_vishkin_edgelist(edges, g.num_nodes(), &iters);
+             return iters;
+           }}};
+  for (const auto& [name, run] : entry_points) {
+    telemetry::set_enabled(false);
+    telemetry::reset();
+    run();
+    const telemetry::Counters dormant = telemetry::snapshot();
+    EXPECT_EQ(dormant.iterations, 0u) << name;
+    EXPECT_EQ(dormant.compress_calls, 0u) << name;
+    if (!telemetry::compiled_in()) continue;
+
+    const telemetry::ScopedEnable armed;
+    const auto iters = static_cast<std::uint64_t>(run());
+    const telemetry::Counters counted = telemetry::snapshot();
+    EXPECT_EQ(counted.iterations, iters) << name;
+    EXPECT_EQ(counted.compress_calls, iters * n) << name;
+    EXPECT_EQ(counted.link_calls, 0u) << name;
+    EXPECT_GE(counted.sv_hooks_fired, n - 2) << name;
+  }
+  telemetry::set_enabled(false);
 }
 
 // -------------------------------------------------------------------- LP

@@ -19,7 +19,8 @@ using fuzz::FuzzInput;
 using fuzz::Mismatch;
 
 class DifferentialFuzz
-    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+    : public fuzz::SmallTeamTest,
+      public ::testing::WithParamInterface<std::tuple<std::string, int>> {};
 
 TEST_P(DifferentialFuzz, AllAlgorithmsMatchOracle) {
   const auto& [family, scale] = GetParam();

@@ -37,7 +37,6 @@
 #include "graph/builder.hpp"
 #include "graph/generators/suite.hpp"
 #include "graph/generators/uniform.hpp"
-#include "util/platform.hpp"
 
 namespace afforest {
 namespace {
@@ -176,17 +175,8 @@ std::int64_t mismatches(const ComponentLabels<NodeID>& got,
   return bad;
 }
 
-// Two threads keep every schedule concurrent while staying fast when ctest
-// runs several OpenMP tests at once: three 4-thread matrix processes on a
-// 4-core host spent ~60 s per cell in barrier waits, 2-thread ones < 1 s.
-// min() keeps the TSan preset's single thread (libgomp is not
-// TSan-instrumented).
-class DriverMatrix : public ::testing::TestWithParam<Cell> {
- protected:
-  void SetUp() override { set_num_threads(std::min(saved_threads_, 2)); }
-  void TearDown() override { set_num_threads(saved_threads_); }
-  int saved_threads_ = num_threads();
-};
+class DriverMatrix : public fuzz::SmallTeamTest,
+                     public ::testing::WithParamInterface<Cell> {};
 
 TEST_P(DriverMatrix, MatchesSymmetrizedUnionFind) {
   const AfforestOptions& opts = GetParam().opts;

@@ -19,6 +19,8 @@
 // sanitizer CI jobs can run the same grid at reduced depth.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -49,11 +51,26 @@
 #include "graph/io.hpp"
 #include "serve/dynamic_cc.hpp"
 #include "util/env.hpp"
+#include "util/platform.hpp"
 #include "util/rng.hpp"
 
 namespace afforest::fuzz {
 
 using NodeID = std::int32_t;
+
+/// Runs each test on an OpenMP team of at most two threads.  Two threads
+/// keep every schedule concurrent while staying fast when ctest runs
+/// several OpenMP test processes at once: with three concurrent processes
+/// on a 4-core host, 4-thread teams spent most of each test in barrier
+/// waits (the tiny-scale differential cells took 40–174 s per process, 39 ms
+/// alone), 2-thread teams 25–51 ms.  min() keeps the TSan preset's single
+/// thread (libgomp is not TSan-instrumented).
+class SmallTeamTest : public ::testing::Test {
+ protected:
+  void SetUp() override { set_num_threads(std::min(saved_threads_, 2)); }
+  void TearDown() override { set_num_threads(saved_threads_); }
+  int saved_threads_ = num_threads();
+};
 
 /// AFFOREST_FUZZ_BUDGET as a percentage, clamped to [1, 100].
 inline int fuzz_budget() {

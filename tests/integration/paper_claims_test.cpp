@@ -7,7 +7,6 @@
 #include "analysis/instrumented.hpp"
 #include "analysis/locality.hpp"
 #include "analysis/memtrace.hpp"
-#include "analysis/telemetry.hpp"
 #include "analysis/work_counter.hpp"
 #include "cc/union_find.hpp"
 #include "cc/verifier.hpp"
@@ -64,8 +63,6 @@ TEST(PaperClaims, NeighborSamplingDominatesAtTwoRounds) {
 // §IV-D: on graphs dominated by one giant component, skipping avoids the
 // majority of stored edges.
 TEST(PaperClaims, SkipAvoidsMajorityOfEdgesOnGiantComponentGraphs) {
-  // The skipped-edge count comes from the telemetry Report.
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   for (const auto* name : {"urand", "web", "twitter", "kron"}) {
     const Graph g = make_suite_graph(name, 12);
     const auto stats = afforest_with_work_stats(g);
