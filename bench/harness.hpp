@@ -8,6 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,6 +83,33 @@ inline bool standard_preamble(const CommandLine& cl,
 inline void warn_unknown_flags(const CommandLine& cl) {
   for (const auto& f : cl.unknown_flags())
     std::cerr << "warning: unknown flag --" << f << " ignored\n";
+}
+
+/// The names a comma-separated flag value selects, in `valid`'s order; an
+/// empty value selects every name.  Throws std::invalid_argument naming the
+/// first unknown entry and listing the valid names.
+inline std::vector<std::string> select_names(
+    const std::string& csv, const std::vector<std::string>& valid,
+    const std::string& flag) {
+  std::vector<std::string> wanted;
+  for (std::size_t pos = 0; pos <= csv.size();) {
+    const std::size_t comma = std::min(csv.find(',', pos), csv.size());
+    if (comma > pos) wanted.push_back(csv.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  for (const auto& name : wanted) {
+    if (std::find(valid.begin(), valid.end(), name) != valid.end()) continue;
+    std::string names;
+    for (const auto& v : valid) names += (names.empty() ? "" : ", ") + v;
+    throw std::invalid_argument("--" + flag + ": unknown name '" + name +
+                                "' (valid: " + names + ")");
+  }
+  if (wanted.empty()) return valid;
+  std::vector<std::string> selected;
+  for (const auto& v : valid)
+    if (std::find(wanted.begin(), wanted.end(), v) != wanted.end())
+      selected.push_back(v);
+  return selected;
 }
 
 // ---- machine-readable output (--json) -------------------------------------

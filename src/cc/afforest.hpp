@@ -43,11 +43,29 @@
 // paths.  RemSplice therefore needs no compress between sampling rounds: it
 // runs them as one pass and one compress.  The pass unites the same edges, so
 // after that compress π holds each sampled component's minimum id, as
-// after the rounds, and c and phase 3's input do not change.  RootHook
-// keeps the paper's compress after every round (Fig 5), without which its
-// trees deepen.  Only afforest_cc offers the choice: IncrementalCC and the
-// serving engines call link(), and Table II, Fig 7 and the §IV-A forest
-// run afforest_cc pinned to RootHook (docs/ALGORITHM.md, "Link choices").
+// after the rounds, and c and phase 3's input do not change.
+//
+// Where vertex ids carry locality, that pass is the owner pass.  The ids
+// are split into blocks of B, and threads take one block at a time; while
+// a thread runs a block it is the only writer of those π slots, so Rem's
+// climb writes them with plain release stores (rem_splice's OwnedBlock
+// mode).  A union whose next write falls outside the block pauses there
+// and keeps its current climb pair, which the thread finishes with the CAS
+// rem_splice after the pass's barrier.  A locality test picks it: the
+// owner pass runs when at least half of the first min(k, deg) neighbors
+// of sample_count random vertices lie in their vertex's block, and the
+// CAS pass otherwise.  The owner pass is one interleaving of the
+// concurrent CAS pass: each block has one writer, so each store is exactly
+// the CAS that would have succeeded there, and a kept pair is a union
+// paused mid-climb until after the barrier.  It keeps the pair, not the
+// edge: splices inside the block can already have moved the endpoint's
+// subtree out of its old tree, and only the pair still joins the rest.
+//
+// RootHook keeps the paper's compress after every round (Fig 5), without
+// which its trees deepen.  Only afforest_cc offers the choice:
+// IncrementalCC and the serving engines call link(), and Table II, Fig 7
+// and the §IV-A forest run afforest_cc pinned to RootHook
+// (docs/ALGORITHM.md, "Link choices").
 //
 // Probes.  The primitives and the driver report what they do to a probe;
 // the default, TelemetryProbe, is the telemetry reporting.  Table II's
@@ -70,16 +88,24 @@
 //     The write it read put it in c's tree, so it is in c's component.
 //     So every edge it skips is either linked from its other endpoint, or
 //     joins two vertices that both end up in c's component.
+// The owner pass changes none of this: its stores are the CASes of one
+// interleaving of the concurrent unions, and its kept pairs finish before
+// the sampling phase ends, so every union has returned by then.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <variant>
+#include <vector>
+
+#include <omp.h>
 
 #include "analysis/telemetry.hpp"
 #include "cc/common.hpp"
@@ -272,6 +298,22 @@ bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp, Probe probe = {}) {
   return merged;
 }
 
+/// rem_splice's write modes.  AnyWriter: any thread may write any slot of
+/// π, so every write is a CAS.  OwnedBlock: the calling thread is the only
+/// writer of π[lo, hi) until it stops, as each thread is of the block it
+/// runs in the owner pass (see "Link choices" above).
+struct AnyWriter {};
+struct OwnedBlock {
+  std::int64_t lo;
+  std::int64_t hi;
+
+  /// lo <= x < hi, in one unsigned compare.
+  [[nodiscard]] bool owns(std::int64_t x) const {
+    return static_cast<std::uint64_t>(x - lo) <
+           static_cast<std::uint64_t>(hi - lo);
+  }
+};
+
 /// Unites the trees containing u and v by Rem's CAS splicing.  Each step
 /// compares the parents of the two current vertices and CASes the one with
 /// the larger parent to the smaller parent: a root is hooked and the call
@@ -280,10 +322,21 @@ bool link(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp, Probe probe = {}) {
 /// Invariant 1 holds.  Lock-free; safe to call concurrently on arbitrary
 /// edges.  A splice splits a set until the call returns, so code that reads
 /// the live forest between unions must use link() (see the header comment).
+///
+/// With `writes` an OwnedBlock, a write inside the block is a release
+/// store, the CAS that cannot fail there, and the call pauses at its first
+/// write outside the block without making it: it then returns the climb
+/// pair it stopped at, which a rem_splice after every owner has stopped
+/// writing finishes, and reports nothing to the probe.  A union that
+/// completes inside the block returns std::nullopt.  Its stores are
+/// reported by probe.write() but are not CAS attempts.
 // lint: parallel-context
-template <typename NodeID_, typename Probe = TelemetryProbe>
-void rem_splice(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp,
-                Probe probe = {}) {
+template <typename NodeID_, typename Probe = TelemetryProbe,
+          typename Writes = AnyWriter>
+auto rem_splice(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp,
+                Probe probe = {}, Writes writes = {}) {
+  constexpr bool kOwned = std::is_same_v<Writes, OwnedBlock>;
+  using Kept = std::optional<std::pair<NodeID_, NodeID_>>;
   const NodeID_ edge_u = u, edge_v = v;  // the climb moves u and v
   // Tallies in registers, reported once per call as in link().
   std::uint64_t retries = 0, cas_attempts = 0, cas_failures = 0;
@@ -300,10 +353,17 @@ void rem_splice(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp,
       std::swap(u, v);
       std::swap(p_u, p_v);
     }
-    ++cas_attempts;
-    probe.write(u);
-    const bool won = compare_and_swap(comp[u], p_u, p_v);
-    if (!won) ++cas_failures;
+    bool won = true;
+    if constexpr (kOwned) {
+      if (!writes.owns(u)) return Kept{{u, v}};
+      probe.write(u);
+      atomic_store(comp[u], p_v);
+    } else {
+      ++cas_attempts;
+      probe.write(u);
+      won = compare_and_swap(comp[u], p_u, p_v);
+      if (!won) ++cas_failures;
+    }
     if (u == p_u) {
       merged = won;  // hooked a root; a lost race re-reads both parents
       if (merged) break;
@@ -313,6 +373,7 @@ void rem_splice(NodeID_ u, NodeID_ v, pvector<NodeID_>& comp,
     ++retries;
   }
   probe.linked(edge_u, edge_v, merged, retries, cas_attempts, cas_failures);
+  if constexpr (kOwned) return Kept{};
 }
 
 /// The union of link choice Link: link() for RootHook, rem_splice() for
@@ -526,6 +587,97 @@ void link_remaining(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
 
 namespace detail {
 
+/// The owner pass's block size: kOwnerBlockMax ids, halved, not below
+/// kOwnerBlockMin, until a team of `threads` has kOwnerBlocksPerThread
+/// blocks per thread to balance.
+inline constexpr std::int64_t kOwnerBlockMax = std::int64_t{1} << 18;
+inline constexpr std::int64_t kOwnerBlockMin = 4096;
+inline constexpr std::int64_t kOwnerBlocksPerThread = 4;
+
+inline std::int64_t owner_block_size(std::int64_t n, int threads) {
+  const auto widest = static_cast<std::uint64_t>(
+      n / (kOwnerBlocksPerThread * std::max(threads, 1)));
+  return std::clamp(static_cast<std::int64_t>(std::bit_floor(widest)),
+                    kOwnerBlockMin, kOwnerBlockMax);
+}
+
+/// The locality test that picks the owner pass: true iff at least half of
+/// the first min(k, deg) neighbors of `opts.sample_count` random vertices
+/// (seeded by opts.sample_seed) lie in their vertex's block.  Below that,
+/// the owner pass would keep too many pairs to beat the CAS pass.
+template <typename NodeID_>
+bool samples_stay_in_blocks(const CSRGraph<NodeID_>& g, std::int32_t k,
+                            std::int64_t block, const AfforestOptions& opts) {
+  const std::int64_t n = g.num_nodes();
+  if (n == 0) return false;
+  Xoshiro256 rng(opts.sample_seed);
+  std::int64_t inside = 0, sampled = 0;
+  for (std::int32_t s = 0; s < opts.sample_count; ++s) {
+    const auto v = static_cast<NodeID_>(rng.next_bounded(n));
+    const std::int64_t end = std::min<std::int64_t>(k, g.out_degree(v));
+    for (std::int64_t i = 0; i < end; ++i)
+      inside += std::int64_t{g.neighbor(v, i)} / block == v / block;
+    sampled += end;
+  }
+  return sampled > 0 && 2 * inside >= sampled;
+}
+
+/// A thread's kept climb pairs.  The vector outlives the solve, so a warm
+/// solve faults in no pages for it.
+template <typename NodeID_>
+std::vector<std::pair<NodeID_, NodeID_>>& kept_pairs() {
+  thread_local std::vector<std::pair<NodeID_, NodeID_>> kept;
+  return kept;
+}
+
+/// The owner pass (see "Link choices" above): threads take blocks of
+/// `block` ids one at a time, and each vertex of a block unites its first
+/// min(k, deg) neighbors by rem_splice in the block's write mode.  After
+/// the barrier, each thread finishes the climb pairs it kept by the CAS
+/// rem_splice.
+template <typename NodeID_, typename Probe>
+void sample_owned_blocks(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
+                         std::int32_t k, std::int64_t block, Probe probe) {
+  const std::int64_t n = g.num_nodes();
+  const std::int64_t blocks = (n + block - 1) / block;
+#pragma omp parallel
+  {
+    auto& kept = kept_pairs<NodeID_>();
+    kept.clear();
+#pragma omp for schedule(dynamic, 1)
+    for (std::int64_t b = 0; b < blocks; ++b) {
+      const OwnedBlock owned{b * block, std::min(n, (b + 1) * block)};
+      for (std::int64_t v = owned.lo; v < owned.hi; ++v) {
+        const auto x = static_cast<NodeID_>(v);
+        const std::int64_t end = std::min<std::int64_t>(k, g.out_degree(x));
+        for (std::int64_t i = 0; i < end; ++i)
+          if (const auto pair =
+                  rem_splice(x, g.neighbor(x, i), comp, probe, owned))
+            kept.push_back(*pair);
+      }
+    }
+    // Past the loop's barrier no owner writes: finish with CASes.
+    for (const auto& [u, w] : kept) rem_splice(u, w, comp, probe);
+  }
+}
+
+/// Under RemSplice, runs the owner pass over the first k neighbors of
+/// every vertex if the locality test picks it, and reports whether it ran.
+template <typename Link, typename NodeID_, typename Probe>
+bool sampled_by_owners(const CSRGraph<NodeID_>& g, pvector<NodeID_>& comp,
+                       std::int32_t k, const AfforestOptions& opts,
+                       Probe probe) {
+  if constexpr (!std::is_same_v<Link, RemSplice>) {
+    return false;
+  } else {
+    const std::int64_t block =
+        owner_block_size(g.num_nodes(), omp_get_max_threads());
+    if (!samples_stay_in_blocks(g, k, block, opts)) return false;
+    sample_owned_blocks(g, comp, k, block, probe);
+    return true;
+  }
+}
+
 /// Fig 5's phases with every union through unite<Link>, reported to
 /// `probe`.  afforest_cc validates the options and picks Link.  Interleave
 /// = false drops the compress after each sampling pass; only
@@ -566,7 +718,8 @@ ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
   // Pass r unites neighbors [r * width, (r + 1) * width) of every vertex.
   // RootHook runs the paper's k passes of width 1, each followed by its
   // compress; RemSplice's splices keep its paths short without them, so it
-  // unites all k neighbors in one pass (see "Link choices" above).
+  // unites all k neighbors in one pass (see "Link choices" above): the
+  // owner pass where the locality test picks it, the loop below otherwise.
   const std::int32_t width =
       std::is_same_v<Link, RemSplice> ? std::max(start, std::int32_t{1}) : 1;
   for (std::int32_t r = 0; r * width < start; ++r) {
@@ -575,13 +728,15 @@ ComponentLabels<NodeID_> afforest_phases(const CSRGraph<NodeID_>& g,
       const telemetry::ScopedPhase phase(
           "afforest.sampling", slot(&AfforestPhaseTimes::sampling_s));
       const std::int64_t begin = std::int64_t{r} * width;
+      if (!sampled_by_owners<Link>(g, comp, start, opts, probe)) {
 #pragma omp parallel for schedule(dynamic, 16384)
-      for (std::int64_t v = 0; v < n; ++v) {
-        const std::int64_t end = std::min<std::int64_t>(
-            begin + width, g.out_degree(static_cast<NodeID_>(v)));
-        for (std::int64_t i = begin; i < end; ++i)
-          unite<Link>(static_cast<NodeID_>(v),
-                      g.neighbor(static_cast<NodeID_>(v), i), comp, probe);
+        for (std::int64_t v = 0; v < n; ++v) {
+          const std::int64_t end = std::min<std::int64_t>(
+              begin + width, g.out_degree(static_cast<NodeID_>(v)));
+          for (std::int64_t i = begin; i < end; ++i)
+            unite<Link>(static_cast<NodeID_>(v),
+                        g.neighbor(static_cast<NodeID_>(v), i), comp, probe);
+        }
       }
     }
     if constexpr (Interleave) compress_phase(AfforestPhase::kCompress, r);

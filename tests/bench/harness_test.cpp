@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,26 @@ TEST(TimeTrials, RunsRequestedTrials) {
   EXPECT_EQ(t.trials, 4);
   EXPECT_LE(t.min_s, t.median_s);
   EXPECT_LE(t.median_s, t.max_s);
+}
+
+TEST(SelectNames, EmptySelectsAllAndSubsetsKeepTheValidOrder) {
+  const std::vector<std::string> valid = {"sv", "lp", "afforest"};
+  EXPECT_EQ(bench::select_names("", valid, "algorithms"), valid);
+  EXPECT_EQ(bench::select_names("afforest,sv", valid, "algorithms"),
+            (std::vector<std::string>{"sv", "afforest"}));
+  EXPECT_EQ(bench::select_names("lp,,lp", valid, "algorithms"),
+            (std::vector<std::string>{"lp"}));
+}
+
+TEST(SelectNames, UnknownNameThrowsListingTheValidOnes) {
+  const std::vector<std::string> valid = {"road", "kron"};
+  try {
+    (void)bench::select_names("road,korn", valid, "graphs");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--graphs: unknown name 'korn' (valid: road, kron)");
+  }
 }
 
 TEST(MeasureCounters, CapturesWithoutLeavingTelemetryArmed) {

@@ -16,6 +16,7 @@
 #include "cc/union_find.hpp"
 #include "cc/verifier.hpp"
 #include "graph/builder.hpp"
+#include "graph/generators/road.hpp"
 #include "graph/generators/suite.hpp"
 #include "graph/generators/uniform.hpp"
 #include "util/platform.hpp"
@@ -410,6 +411,172 @@ TEST(AfforestFusedSampling, ArmedCountsMatchTheSpliceRounds) {
                 rounds.phase3_vertices_skipped)
           << name << " k=" << k;
     }
+  }
+  set_num_threads(saved);
+}
+
+// Under RemSplice a solve whose sampled neighbors mostly lie in their
+// vertex's block of ids runs the owner pass: each thread writes its own
+// block with plain stores and keeps the climb pair of any union that must
+// write outside it, for a CAS finish after the barrier.  Whichever pass
+// runs, π after the compress holds each sampled component's minimum id.
+
+// π after a serial rem_splice pass over every vertex's first min(k, deg)
+// neighbors, then compress_all.
+template <typename NodeID_>
+std::vector<NodeID_> serial_sampled_forest(const CSRGraph<NodeID_>& g,
+                                           std::int32_t k) {
+  auto comp = identity_labels<NodeID_>(g.num_nodes());
+  for (NodeID_ v = 0; v < g.num_nodes(); ++v)
+    for (std::int64_t i = 0; i < std::min<std::int64_t>(k, g.out_degree(v));
+         ++i)
+      rem_splice(v, g.neighbor(v, i), comp);
+  compress_all(comp);
+  return {comp.begin(), comp.end()};
+}
+
+// π at kFindLargest of a RemSplice solve.
+std::vector<NodeID> solved_sampled_forest(const Graph& g, std::int32_t k) {
+  std::vector<PhaseMark> seen;
+  std::vector<NodeID> sampled;
+  afforest_cc(g, rounds_cell(k, RemSplice{}), nullptr,
+              PhaseLog{{}, &seen, &sampled});
+  return sampled;
+}
+
+// The owner pass with blocks of `block` ids, whatever the locality test
+// says, then compress_all.
+template <typename NodeID_>
+std::vector<NodeID_> owner_sampled_forest(const CSRGraph<NodeID_>& g,
+                                          std::int32_t k, std::int64_t block) {
+  auto comp = identity_labels<NodeID_>(g.num_nodes());
+  detail::sample_owned_blocks(g, comp, k, block, TelemetryProbe{});
+  compress_all(comp);
+  return {comp.begin(), comp.end()};
+}
+
+// The owner pass at int16 and int64 ids, on a 128 x 128 lattice.
+template <typename NodeID_>
+void expect_owner_pass_matches_at_width(std::int32_t k, int team) {
+  const auto g = build_undirected<NodeID_>(
+      generate_road_edges<NodeID_>(128, 128, 7, {.keep_prob = 0.6}));
+  const auto want = serial_sampled_forest(g, k);
+  for (const std::int64_t block :
+       {detail::owner_block_size(g.num_nodes(), team), std::int64_t{64}})
+    EXPECT_TRUE(owner_sampled_forest(g, k, block) == want)
+        << sizeof(NodeID_) << "-byte ids k=" << k << " team=" << team
+        << " block=" << block;
+}
+
+TEST(AfforestOwnerSampling, ForestMatchesTheCasPass) {
+  const int saved = num_threads();
+  for (const char* family :
+       {"road", "osm-eur", "twitter", "web", "urand", "kron"}) {
+    const Graph g = make_suite_graph(family, 14);
+    for (const std::int32_t k : {1, 2, 3, 5}) {
+      const auto want = serial_sampled_forest(g, k);
+      for (const int team : {1, 2, 3, 4}) {
+        set_num_threads(team);
+        const std::int64_t block =
+            detail::owner_block_size(g.num_nodes(), team);
+        EXPECT_GE(g.num_nodes(), 4 * block) << family;
+        EXPECT_TRUE(solved_sampled_forest(g, k) == want)
+            << family << " k=" << k << " team=" << team;
+        // The owner pass on every family, and on 64-id blocks, whose
+        // unions leave their block far more often.
+        EXPECT_TRUE(owner_sampled_forest(g, k, block) == want)
+            << family << " k=" << k << " team=" << team;
+        EXPECT_TRUE(owner_sampled_forest(g, k, 64) == want)
+            << family << " k=" << k << " team=" << team << " block=64";
+      }
+    }
+  }
+  for (const std::int32_t k : {1, 2, 3, 5}) {
+    for (const int team : {1, 2, 3, 4}) {
+      set_num_threads(team);
+      expect_owner_pass_matches_at_width<std::int16_t>(k, team);
+      expect_owner_pass_matches_at_width<std::int64_t>(k, team);
+    }
+  }
+  set_num_threads(saved);
+}
+
+// A union that splices inside its block before its climb leaves it has
+// already moved its endpoint's subtree out of the old tree.  Only the kept
+// pair still joins what is left of that tree: the original edge's
+// endpoints share a tree by then, so re-running it would leave the rest
+// apart.  osm-eur at scale 14, seed 7 has such unions at k = 2.
+TEST(AfforestOwnerSampling, KeptPairFinishesASplitClimb) {
+  const Graph g = make_suite_graph("osm-eur", 14, 7);
+  const std::int64_t n = g.num_nodes();
+  const std::int32_t k = 2;
+  const int saved = num_threads();
+  set_num_threads(1);
+  const std::int64_t block = detail::owner_block_size(n, 1);
+  ASSERT_TRUE(detail::samples_stay_in_blocks(g, k, block, AfforestOptions{}));
+  // The blocks in the order one thread takes them: some kept pair is not
+  // its edge, so its climb spliced before it paused.
+  std::int64_t split = 0;
+  auto comp = identity_labels<NodeID>(n);
+  for (std::int64_t lo = 0; lo < n; lo += block) {
+    const OwnedBlock owned{lo, std::min(n, lo + block)};
+    for (auto v = static_cast<NodeID>(owned.lo); v < owned.hi; ++v) {
+      for (std::int64_t i = 0; i < std::min<std::int64_t>(k, g.out_degree(v));
+           ++i) {
+        const NodeID w = g.neighbor(v, i);
+        if (const auto kept = rem_splice(v, w, comp, TelemetryProbe{}, owned))
+          split += *kept != std::pair{v, w} && *kept != std::pair{w, v};
+      }
+    }
+  }
+  EXPECT_GT(split, 0);
+  EXPECT_TRUE(solved_sampled_forest(g, k) == serial_sampled_forest(g, k));
+  set_num_threads(saved);
+}
+
+// The locality test sends road, whose sampled neighbors lie in their
+// vertex's block, to the owner pass, whose stores are not CAS attempts;
+// urand, whose neighbors are spread over every block, takes the CAS pass
+// and makes exactly the CAS attempts of that pass rebuilt from the
+// primitives.  One thread makes the counts repeatable.
+TEST(AfforestOwnerSampling, LocalityTestPicksThePass) {
+  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  const int saved = num_threads();
+  set_num_threads(1);
+  const AfforestOptions opts;
+  const std::int32_t k = std::get<NeighborRounds>(opts.sampling).k;
+  for (const char* family : {"road", "urand"}) {
+    const Graph g = make_suite_graph(family, 14);
+    const std::int64_t n = g.num_nodes();
+    const bool owner = std::string(family) == "road";
+    EXPECT_EQ(detail::samples_stay_in_blocks(
+                  g, k, detail::owner_block_size(n, 1), opts),
+              owner)
+        << family;
+    telemetry::Counters solve, cas_pass;
+    {
+      const telemetry::ScopedEnable armed;
+      afforest_cc(g, opts);
+      solve = telemetry::snapshot();
+    }
+    {
+      const telemetry::ScopedEnable armed;
+      auto comp = identity_labels<NodeID>(n);
+      for (NodeID v = 0; v < n; ++v)
+        for (std::int64_t i = 0;
+             i < std::min<std::int64_t>(k, g.out_degree(v)); ++i)
+          rem_splice(v, g.neighbor(v, i), comp);
+      compress_all(comp);
+      const NodeID c = sample_frequent_element(comp, opts.sample_count,
+                                               opts.sample_seed);
+      link_remaining<RemSplice>(g, comp, k, opts, c);
+      cas_pass = telemetry::snapshot();
+    }
+    EXPECT_EQ(solve.link_calls, cas_pass.link_calls) << family;
+    if (owner)
+      EXPECT_LT(solve.cas_attempts, cas_pass.cas_attempts) << family;
+    else
+      EXPECT_EQ(solve.cas_attempts, cas_pass.cas_attempts) << family;
   }
   set_num_threads(saved);
 }

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cc/afforest.hpp"
@@ -381,6 +382,62 @@ TEST(StdThreadStress, SpliceFusedSamplingSkipIsSound) {
       for (std::int64_t v = 0; v < n; ++v)
         ASSERT_EQ(comp[v], truth[v])
             << family << " k=" << k << " round " << round << " v=" << v;
+    }
+  }
+}
+
+TEST(StdThreadStress, OwnerSamplingMatchesCasPass) {
+  // afforest_cc's owner pass on std::threads: threads claim blocks of ids
+  // from an atomic counter and unite each vertex's first k neighbors by
+  // rem_splice in the block's write mode, storing plainly inside the block
+  // while the other owners read it.  After the join, each thread's kept
+  // climb pairs are finished by the CAS rem_splice, again on std::threads.
+  // π after compress must equal a serial splice pass's.
+  constexpr int kThreads = 4;
+  for (const char* family : {"road", "urand", "kron", "star-reversed"}) {
+    const auto in = fuzz::make_fuzz_input(family, 12, 3);
+    const Graph g = build_undirected(in.edges, in.num_nodes);
+    const std::int64_t n = g.num_nodes();
+    for (const std::int32_t k : {1, 2, 3}) {
+      auto want = identity_labels<NodeID>(n);
+      for (NodeID v = 0; v < n; ++v)
+        for (std::int64_t i = 0;
+             i < std::min<std::int64_t>(k, g.out_degree(v)); ++i)
+          rem_splice(v, g.neighbor(v, i), want);
+      compress_all(want);
+      for (const std::int64_t block : {64, 512}) {
+        auto comp = identity_labels<NodeID>(n);
+        std::atomic<std::int64_t> next{0};
+        std::vector<std::vector<std::pair<NodeID, NodeID>>> kept(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+          threads.emplace_back([&, t] {
+            for (std::int64_t lo; (lo = block * next.fetch_add(1)) < n;) {
+              const OwnedBlock owned{lo, std::min(n, lo + block)};
+              for (auto v = static_cast<NodeID>(owned.lo); v < owned.hi; ++v)
+                for (std::int64_t i = 0;
+                     i < std::min<std::int64_t>(k, g.out_degree(v)); ++i)
+                  if (const auto pair = rem_splice(v, g.neighbor(v, i), comp,
+                                                   TelemetryProbe{}, owned))
+                    kept[t].push_back(*pair);
+            }
+          });
+        }
+        for (auto& t : threads) t.join();
+        threads.clear();
+        for (int t = 0; t < kThreads; ++t)
+          threads.emplace_back([&, t] {
+            for (const auto& [u, w] : kept[t]) rem_splice(u, w, comp);
+          });
+        for (auto& t : threads) t.join();
+        run_on_threads(kThreads, n, [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t v = lo; v < hi; ++v)
+            compress(static_cast<NodeID>(v), comp);
+        });
+        for (std::int64_t v = 0; v < n; ++v)
+          ASSERT_EQ(comp[v], want[v]) << family << " k=" << k
+                                      << " block=" << block << " v=" << v;
+      }
     }
   }
 }

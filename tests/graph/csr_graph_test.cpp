@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "graph/builder.hpp"
+#include "graph/edge_list.hpp"
+#include "graph/generators/suite.hpp"
+#include "util/platform.hpp"
 
 namespace afforest {
 namespace {
@@ -93,6 +97,28 @@ TEST(CSRGraph, ManualConstructionFromArrays) {
   EXPECT_EQ(g.out_degree(1), 2);
   EXPECT_EQ(g.neighbor(1, 0), 0);
   EXPECT_EQ(g.neighbor(1, 1), 2);
+}
+
+// lower_edges counts, places and fills each row in parallel; the list must
+// be the serial row-order scan's at every team size.
+TEST(LowerEdges, MatchesTheSerialScanAtEveryTeam) {
+  const int saved = num_threads();
+  for (const char* family :
+       {"road", "osm-eur", "twitter", "web", "urand", "kron"}) {
+    const Graph g = make_suite_graph(family, 12);
+    std::vector<EdgePair<NodeID>> want;
+    for (NodeID u = 0; u < g.num_nodes(); ++u)
+      for (NodeID v : g.out_neigh(u))
+        if (u < v) want.push_back({u, v});
+    for (const int team : {1, 3, 4}) {
+      set_num_threads(team);
+      const EdgeList<NodeID> got = lower_edges(g);
+      EXPECT_TRUE(std::vector<EdgePair<NodeID>>(got.begin(), got.end()) ==
+                  want)
+          << family << " team=" << team;
+    }
+  }
+  set_num_threads(saved);
 }
 
 }  // namespace
