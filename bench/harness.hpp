@@ -4,12 +4,14 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -110,6 +112,38 @@ inline std::vector<std::string> select_names(
     if (std::find(wanted.begin(), wanted.end(), v) != wanted.end())
       selected.push_back(v);
   return selected;
+}
+
+/// The numbers a comma-separated flag value lists, in order (empty entries
+/// are skipped).  Throws std::invalid_argument naming the flag when an
+/// entry is not a whole T (trailing characters included), lies outside
+/// T's range, or fails `valid` (`requirement` says what `valid` wants),
+/// and when no entry is left.
+template <typename T, typename Valid>
+std::vector<T> parse_list(const std::string& csv, const std::string& flag,
+                          Valid valid, const std::string& requirement) {
+  std::vector<T> out;
+  for (std::size_t pos = 0; pos <= csv.size();) {
+    const std::size_t comma = std::min(csv.find(',', pos), csv.size());
+    const std::string entry = csv.substr(pos, comma - pos);
+    pos = comma + 1;
+    if (entry.empty()) continue;
+    T value{};
+    const char* last = entry.data() + entry.size();
+    const auto [end, ec] = std::from_chars(entry.data(), last, value);
+    const std::string problem =
+        ec == std::errc::result_out_of_range ? "is out of range"
+        : ec != std::errc() || end != last   ? "is not a number"
+        : !valid(value)                      ? "is not " + requirement
+                                             : "";
+    if (!problem.empty())
+      throw std::invalid_argument("--" + flag + ": entry '" + entry + "' " +
+                                  problem);
+    out.push_back(value);
+  }
+  if (out.empty())
+    throw std::invalid_argument("--" + flag + " parsed to an empty list");
+  return out;
 }
 
 // ---- machine-readable output (--json) -------------------------------------

@@ -186,50 +186,6 @@ void pipeline_ingest_all(Engine& engine, const EdgeList<NodeID>& edges,
   pipe.pump();
 }
 
-std::vector<std::int64_t> parse_int_list(const std::string& csv,
-                                         const char* flag) {
-  std::vector<std::int64_t> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) out.push_back(std::stoll(tok));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.empty())
-    throw std::invalid_argument(std::string(flag) +
-                                " parsed to an empty list");
-  for (const std::int64_t v : out)
-    if (v <= 0)
-      throw std::invalid_argument(std::string(flag) +
-                                  " entries must be positive");
-  return out;
-}
-
-std::vector<double> parse_double_list(const std::string& csv,
-                                      const char* flag) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) out.push_back(std::stod(tok));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.empty())
-    throw std::invalid_argument(std::string(flag) +
-                                " parsed to an empty list");
-  for (const double v : out)
-    if (v < 0.0 || v >= 1.0)
-      throw std::invalid_argument(std::string(flag) +
-                                  " entries must be in [0, 1)");
-  return out;
-}
-
 double us(std::uint64_t ns) { return static_cast<double>(ns) * 1e-3; }
 
 }  // namespace
@@ -283,8 +239,12 @@ int main(int argc, char** argv) {
   try {
     skew = serve::parse_skew(skew_str);
     policy = serve::parse_backpressure(policy_str);
-    worker_sweep = parse_int_list(workers_csv, "--workers");
-    mix_sweep = parse_double_list(mixes_csv, "--read-fractions");
+    worker_sweep = bench::parse_list<std::int64_t>(
+        workers_csv, "workers", [](std::int64_t w) { return w > 0; },
+        "positive");
+    mix_sweep = bench::parse_list<double>(
+        mixes_csv, "read-fractions",
+        [](double f) { return f >= 0.0 && f < 1.0; }, "in [0, 1)");
     if (queues <= 0 || queue_capacity <= 0 || slice <= 0 || ops <= 0)
       throw std::invalid_argument(
           "--queues/--queue-capacity/--slice/--ops must be positive");

@@ -1,27 +1,31 @@
-// Mixed read/write serving workload over src/serve's QueryEngine.
+// Mixed read/write serving workload, one driver for src/serve's QueryEngine
+// and src/shard's ShardedEngine.
 //
 // One writer thread streams a uniform-random edge list into the engine in
 // batches (apply_batch + publish per batch) while R reader threads issue
 // SoA query batches against the published snapshots.  The read fraction
 // sets how many queries ride alongside the edge stream
-// (queries = edges * f / (1 - f)), the key sampler sets which vertices the
-// queries touch (uniform or Zipfian, the YCSB-style skew), and the batch
-// sweep varies the write-batch size — the knob that trades snapshot
-// freshness against publish amortization.
+// (queries = edges * f / (1 - f)) and the key sampler which vertices they
+// touch (uniform or Zipfian, the YCSB-style skew).  The QueryEngine sweep
+// varies the write batch (--batch-sizes: snapshot freshness against
+// publish amortization), the ShardedEngine sweep the shard count
+// (--shards, at --edge-batch: the cost of quotient maintenance and publish
+// fan-out).  Readers fail the run on a backwards epoch or, sharded, on an
+// atom that mixes shard epochs.  Each sweep point reports ingest time,
+// query throughput and batch-latency p50/p95/p99.
 //
-// Reported per batch size: ingest wall time, query throughput, and
-// query-batch latency quantiles (p50/p95/p99).  With --json the run emits
-// afforest-bench-1 records in two groups:
+// With --json the run emits afforest-bench-1 records per tier ("serve" /
+// "shard"):
 //
-//   * graph "serve-urand" — a "serial-uf" anchor plus "serve-query-steady"
-//     (a query batch answered against the final snapshot, no concurrent
-//     writer).  Compute-bound, so its anchor-normalized ratio is stable
-//     across machines: this is the record the perf-smoke gate tracks.
-//   * graph "serve-urand-mixed" — the mixed-phase "serve-ingest" /
-//     "serve-query" records.  Their wall times depend on how the scheduler
-//     interleaves writer and readers (core-count-sensitive), so they carry
-//     no anchor and ratio-mode comparison reports them as notes instead of
-//     gating on them.
+//   * graph "<tier>-urand" — a "serial-uf" anchor plus
+//     "<tier>-query-steady" (one query batch against the final snapshot, no
+//     concurrent writer; sharded at --steady-shards).  Compute-bound, so
+//     the anchor-normalized ratio is stable across machines: these are the
+//     records the perf-smoke gate tracks.
+//   * graph "<tier>-urand-mixed" — "<tier>-ingest" / "<tier>-query" per
+//     sweep point, with the serving and shard telemetry counters.  Their
+//     wall times depend on how the scheduler interleaves writer and
+//     readers, so they carry no anchor and ratio mode reports them as notes.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -36,16 +40,17 @@
 #include "serve/query_batch.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_engine.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
-using afforest::EdgeList;
-using afforest::Timer;
-using afforest::Xoshiro256;
+using namespace afforest;
 using NodeID = std::int32_t;
+using QueryEngine = serve::QueryEngine<NodeID>;
+using ShardedEngine = shard::ShardedEngine<NodeID>;
 
 struct MixConfig {
   std::int64_t num_nodes = 0;
@@ -53,7 +58,7 @@ struct MixConfig {
   std::int64_t query_batch = 256;
   int readers = 2;
   double read_fraction = 0.9;
-  afforest::serve::Skew skew = afforest::serve::Skew::kUniform;
+  serve::Skew skew = serve::Skew::kUniform;
   double theta = 0.99;
   std::uint64_t seed = 42;
 };
@@ -63,28 +68,28 @@ struct MixResult {
   double ingest_s = 0;                   ///< writer thread's portion
   std::vector<double> batch_latencies_s; ///< one sample per query batch
   std::uint64_t queries = 0;
-  std::uint64_t edges = 0;
-  std::uint64_t epoch_violations = 0;    ///< should stay 0 (monotone epochs)
+  std::uint64_t epoch_violations = 0;    ///< should stay 0
   std::int64_t components = 0;           ///< final component count
 };
 
-/// Runs one full mixed phase: writer streams `edges` in batches, readers
-/// issue query batches until the target query count is served.
-MixResult run_mixed(const EdgeList<NodeID>& edges, const MixConfig& cfg) {
-  afforest::serve::QueryEngine<NodeID> engine(cfg.num_nodes);
+/// Runs one full mixed phase on a fresh Engine(num_nodes, engine_args...):
+/// the writer streams `edges` in batches, readers issue query batches
+/// until the target query count is served.
+template <typename Engine, typename... EngineArgs>
+MixResult run_mixed(const EdgeList<NodeID>& edges, const MixConfig& cfg,
+                    EngineArgs... engine_args) {
+  Engine engine(cfg.num_nodes, engine_args...);
   const std::int64_t m = static_cast<std::int64_t>(edges.size());
 
-  // read fraction f over total operations: queries = edges * f / (1 - f).
   const double f = std::clamp(cfg.read_fraction, 0.0, 0.99);
   const auto target_queries =
       static_cast<std::uint64_t>(static_cast<double>(m) * f / (1.0 - f));
 
-  const afforest::serve::KeySampler sampler(
+  const serve::KeySampler sampler(
       cfg.skew, static_cast<std::uint64_t>(cfg.num_nodes), cfg.theta);
   const Xoshiro256 root_rng(cfg.seed);
 
   MixResult result;
-  result.edges = static_cast<std::uint64_t>(m);
   std::atomic<std::uint64_t> queries_served{0};
   std::atomic<std::uint64_t> epoch_violations{0};
   std::vector<std::vector<double>> latencies(
@@ -112,11 +117,20 @@ MixResult run_mixed(const EdgeList<NodeID>& edges, const MixConfig& cfg) {
   for (int r = 0; r < cfg.readers; ++r) {
     reader_threads.emplace_back([&, r] {
       Xoshiro256 rng = root_rng.split(static_cast<std::uint64_t>(r) + 1);
-      afforest::serve::QueryBatch<NodeID> batch;
+      serve::QueryBatch<NodeID> batch;
       std::uint64_t last_epoch = 0;
       while (queries_served.fetch_add(
                  static_cast<std::uint64_t>(cfg.query_batch)) <
              target_queries) {
+        // The sharded tier's extra invariant: every shard snapshot in one
+        // atom carries the same epoch.
+        if constexpr (requires(const Engine& e) {
+                        Engine::shard_epochs(e.acquire());
+                      }) {
+          const auto view = engine.acquire();
+          for (const std::uint64_t e : Engine::shard_epochs(view))
+            if (e != view.epoch()) epoch_violations.fetch_add(1);
+        }
         batch.clear();
         for (std::int64_t i = 0; i < cfg.query_batch; ++i)
           batch.add(static_cast<NodeID>(sampler.next(rng)),
@@ -137,7 +151,6 @@ MixResult run_mixed(const EdgeList<NodeID>& edges, const MixConfig& cfg) {
   wall.stop();
 
   result.wall_s = wall.seconds();
-  result.queries = 0;
   for (const auto& per_reader : latencies) {
     result.queries += static_cast<std::uint64_t>(per_reader.size()) *
                       static_cast<std::uint64_t>(cfg.query_batch);
@@ -149,32 +162,119 @@ MixResult run_mixed(const EdgeList<NodeID>& edges, const MixConfig& cfg) {
   return result;
 }
 
-std::vector<std::int64_t> parse_batch_sizes(const std::string& csv) {
-  std::vector<std::int64_t> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) out.push_back(std::stoll(tok));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+/// What every sweep point shares: the stream, the trial count, and where
+/// rows and records go.
+struct Sweep {
+  const EdgeList<NodeID>& edges;
+  int scale;
+  int trials;
+  TextTable& table;
+  bench::JsonReporter& json;
+
+  /// Record params: scale and trials, the point's own knobs, then `tail`.
+  [[nodiscard]] std::vector<bench::Param> params(
+      std::vector<bench::Param> knobs,
+      const std::vector<bench::Param>& tail) const {
+    knobs.insert(knobs.begin(), {{"scale", scale}, {"trials", trials}});
+    knobs.insert(knobs.end(), tail.begin(), tail.end());
+    return knobs;
   }
-  if (out.empty())
-    throw std::invalid_argument("--batch-sizes parsed to an empty list");
-  for (const std::int64_t b : out)
-    if (b <= 0)
-      throw std::invalid_argument("--batch-sizes entries must be positive");
-  return out;
+};
+
+/// One sweep point on Engine(num_nodes, engine_args...): `trials` timed
+/// mixed phases and one table row; with --json, the "<tier>-ingest" and
+/// "<tier>-query" records on graph "<tier>-urand-mixed", carrying the
+/// counters of one armed extra phase (the timed phases run with telemetry
+/// dark).  Returns false when a reader saw an epoch violation.
+template <typename Engine, typename... EngineArgs>
+bool sweep_point(const Sweep& sweep, const MixConfig& cfg,
+                 const std::string& tier, const std::string& engine_name,
+                 const std::vector<bench::Param>& knobs,
+                 EngineArgs... engine_args) {
+  std::vector<double> ingest_times;
+  std::vector<double> all_latencies;
+  MixResult last;
+  for (int t = 0; t < std::max(1, sweep.trials); ++t) {
+    last = run_mixed<Engine>(sweep.edges, cfg, engine_args...);
+    ingest_times.push_back(last.ingest_s);
+    all_latencies.insert(all_latencies.end(), last.batch_latencies_s.begin(),
+                         last.batch_latencies_s.end());
+    if (last.epoch_violations != 0) {
+      std::cerr << "serving: FATAL: " << engine_name << " readers observed "
+                << last.epoch_violations << " epoch violation(s)\n";
+      return false;
+    }
+  }
+
+  const double qps =
+      last.wall_s > 0 ? static_cast<double>(last.queries) / last.wall_s : 0;
+  sweep.table.add_row(
+      {engine_name, std::to_string(cfg.edge_batch),
+       TextTable::fmt(median(ingest_times) * 1e3, 2),
+       TextTable::fmt(last.wall_s * 1e3, 2), std::to_string(last.queries),
+       TextTable::fmt(qps / 1e3, 1),
+       TextTable::fmt(percentile(all_latencies, 50) * 1e6, 1),
+       TextTable::fmt(percentile(all_latencies, 95) * 1e6, 1),
+       TextTable::fmt(percentile(all_latencies, 99) * 1e6, 1),
+       std::to_string(last.components)});
+
+  if (sweep.json.collect()) {
+    const telemetry::Report report = bench::measure_counters(
+        [&] { run_mixed<Engine>(sweep.edges, cfg, engine_args...); });
+    const auto params = sweep.params(
+        knobs, {{"query_batch", cfg.query_batch},
+                {"readers", cfg.readers},
+                {"read_fraction", cfg.read_fraction},
+                {"skew", serve::skew_name(cfg.skew)},
+                {"theta", cfg.theta}});
+    const std::string graph = tier + "-urand-mixed";
+    sweep.json.add(graph, tier + "-ingest", params,
+                   summarize_trials(ingest_times), report);
+    sweep.json.add(graph, tier + "-query", params,
+                   summarize_trials(all_latencies), report);
+  }
+  return true;
+}
+
+/// Steady-state query throughput on Engine(num_nodes, engine_args...)
+/// holding the whole stream: `queries` answered in one batch with no
+/// concurrent writer.  Compute-bound, so the "<tier>-query-steady" record
+/// on graph "<tier>-urand" is the anchor-normalized one the perf-smoke
+/// gate tracks.
+template <typename Engine, typename... EngineArgs>
+void steady_pass(const Sweep& sweep, const MixConfig& cfg,
+                 serve::QueryBatch<NodeID>& queries, const std::string& tier,
+                 const std::string& engine_name,
+                 const std::vector<bench::Param>& knobs,
+                 EngineArgs... engine_args) {
+  Engine engine(cfg.num_nodes, engine_args...);
+  engine.apply_batch(sweep.edges);
+  engine.publish();
+  const TrialSummary steady =
+      bench::time_trials([&] { engine.answer(queries); }, sweep.trials);
+  const auto count = static_cast<double>(queries.count());
+  const double mqps =
+      steady.median_s > 0 ? count / steady.median_s / 1e6 : 0;
+  std::cout << "steady-state (no writer, " << engine_name
+            << "): " << queries.count() << " queries in "
+            << TextTable::fmt(steady.median_s * 1e3, 2) << " ms median ("
+            << TextTable::fmt(mqps, 1) << " Mq/s)\n";
+  if (sweep.json.collect()) {
+    const telemetry::Report report =
+        bench::measure_counters([&] { engine.answer(queries); });
+    sweep.json.add(tier + "-urand", tier + "-query-steady",
+                   sweep.params(knobs, {{"skew", serve::skew_name(cfg.skew)},
+                                        {"theta", cfg.theta}}),
+                   steady, report);
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace afforest;
   CommandLine cl(argc, argv);
   cl.describe("scale", "log2 of vertex count (default 14)");
-  cl.describe("trials", "mixed-phase repetitions per batch size (default 3)");
+  cl.describe("trials", "mixed-phase repetitions per sweep point (default 3)");
   cl.describe("degree", "average degree of the streamed graph (default 8)");
   cl.describe("read-fraction",
               "fraction of operations that are queries (default 0.9)");
@@ -183,9 +283,18 @@ int main(int argc, char** argv) {
   cl.describe("readers", "number of query threads (default 2)");
   cl.describe("query-batch", "queries per QueryBatch (default 256)");
   cl.describe("batch-sizes",
-              "comma-separated write-batch sweep (default 256,1024,4096)");
+              "comma-separated QueryEngine write-batch sweep "
+              "(default 256,1024,4096)");
+  cl.describe("shards",
+              "comma-separated ShardedEngine shard-count sweep "
+              "(default 1,2,4,7)");
+  cl.describe("edge-batch",
+              "edges per apply+publish round in the shard sweep "
+              "(default 1024)");
   cl.describe("steady-queries",
               "steady-state throughput batch size (default 65536; 0 skips)");
+  cl.describe("steady-shards",
+              "shard count for the sharded steady-state record (default 4)");
   cl.describe("seed", "workload RNG seed (default 42)");
   bench::JsonReporter json(cl, "serving");
   if (!bench::standard_preamble(
@@ -200,15 +309,26 @@ int main(int argc, char** argv) {
   const int readers = static_cast<int>(cl.get_int("readers", 2));
   const std::int64_t query_batch = cl.get_int("query-batch", 256);
   const std::string batch_csv = cl.get_string("batch-sizes", "256,1024,4096");
+  const std::string shards_csv = cl.get_string("shards", "1,2,4,7");
+  const std::int64_t edge_batch = cl.get_int("edge-batch", 1024);
   const std::int64_t steady_queries = cl.get_int("steady-queries", 1 << 16);
+  const int steady_shards = static_cast<int>(cl.get_int("steady-shards", 4));
   const auto seed = static_cast<std::uint64_t>(cl.get_int("seed", 42));
   bench::warn_unknown_flags(cl);
 
+  const auto positive = [](auto v) { return v > 0; };
   serve::Skew skew;
   std::vector<std::int64_t> batch_sizes;
+  std::vector<int> shard_counts;
   try {
     skew = serve::parse_skew(skew_str);
-    batch_sizes = parse_batch_sizes(batch_csv);
+    batch_sizes = bench::parse_list<std::int64_t>(batch_csv, "batch-sizes",
+                                                  positive, "positive");
+    shard_counts =
+        bench::parse_list<int>(shards_csv, "shards", positive, "positive");
+    if (edge_batch <= 0 || query_batch <= 0 || steady_shards <= 0)
+      throw std::invalid_argument(
+          "--edge-batch/--query-batch/--steady-shards must be positive");
   } catch (const std::invalid_argument& e) {
     std::cerr << "serving: " << e.what() << "\n";
     return 2;
@@ -217,122 +337,63 @@ int main(int argc, char** argv) {
   const std::int64_t n = std::int64_t{1} << scale;
   const std::int64_t m = n * degree;
   const EdgeList<NodeID> edges = generate_uniform_edges<NodeID>(n, m, seed);
-  const std::string graph = "serve-urand";
-  const std::string mixed_graph = "serve-urand-mixed";
-  std::cout << "graph=" << graph << " V=" << n << " E=" << m
+  std::cout << "stream: urand V=" << n << " E=" << m
             << " read_fraction=" << read_fraction << " skew="
             << serve::skew_name(skew) << " readers=" << readers << "\n\n";
 
-  // Ratio-mode anchor: serial union-find over the same edge list.  Kept on
-  // the same graph name so bench_compare can normalize serving records
-  // without reference to the fig8a suite.
+  // Ratio-mode anchor: serial union-find over the same edge list, reported
+  // on both engines' graphs so bench_compare normalizes each tier's
+  // records without reference to the fig8a suite.
   const auto anchor_summary = bench::time_trials(
       [&] { union_find_cc(edges, n); }, trials);
-  if (json.collect())
+  for (const char* graph : {"serve-urand", "shard-urand"})
     json.add(graph, "serial-uf", {{"scale", scale}, {"trials", trials}},
              anchor_summary);
 
-  TextTable table({"batch", "ingest ms", "wall ms", "queries", "kq/s",
-                   "lat p50 us", "lat p95 us", "lat p99 us", "comps"});
+  TextTable table({"engine", "batch", "ingest ms", "wall ms", "queries",
+                   "kq/s", "lat p50 us", "lat p95 us", "lat p99 us",
+                   "comps"});
+  const Sweep sweep{edges, scale, trials, table, json};
+  MixConfig cfg{.num_nodes = n, .query_batch = query_batch,
+                .readers = readers, .read_fraction = read_fraction,
+                .skew = skew, .theta = theta, .seed = seed};
   for (const std::int64_t batch : batch_sizes) {
-    MixConfig cfg;
-    cfg.num_nodes = n;
     cfg.edge_batch = batch;
-    cfg.query_batch = query_batch;
-    cfg.readers = readers;
-    cfg.read_fraction = read_fraction;
-    cfg.skew = skew;
-    cfg.theta = theta;
-    cfg.seed = seed;
-
-    std::vector<double> ingest_times;
-    std::vector<double> all_latencies;
-    MixResult last;
-    for (int t = 0; t < std::max(1, trials); ++t) {
-      last = run_mixed(edges, cfg);
-      ingest_times.push_back(last.ingest_s);
-      all_latencies.insert(all_latencies.end(),
-                           last.batch_latencies_s.begin(),
-                           last.batch_latencies_s.end());
-      if (last.epoch_violations != 0) {
-        std::cerr << "serving: FATAL: observed " << last.epoch_violations
-                  << " epoch monotonicity violation(s)\n";
-        return 1;
-      }
-    }
-
-    const double qps =
-        last.wall_s > 0 ? static_cast<double>(last.queries) / last.wall_s : 0;
-    table.add_row(
-        {std::to_string(batch), TextTable::fmt(median(ingest_times) * 1e3, 2),
-         TextTable::fmt(last.wall_s * 1e3, 2), std::to_string(last.queries),
-         TextTable::fmt(qps / 1e3, 1),
-         TextTable::fmt(percentile(all_latencies, 50) * 1e6, 1),
-         TextTable::fmt(percentile(all_latencies, 95) * 1e6, 1),
-         TextTable::fmt(percentile(all_latencies, 99) * 1e6, 1),
-         std::to_string(last.components)});
-
-    if (json.collect()) {
-      const std::vector<bench::Param> params = {
-          {"scale", scale},
-          {"trials", trials},
-          {"batch", batch},
-          {"query_batch", query_batch},
-          {"readers", readers},
-          {"read_fraction", read_fraction},
-          {"skew", serve::skew_name(skew)},
-          {"theta", theta}};
-      // One armed pass captures the serving counters (queries served,
-      // snapshot swaps, edges ingested) and the serve.compact phase time;
-      // the timed phases above run with telemetry dark.
-      const telemetry::Report report =
-          bench::measure_counters([&] { run_mixed(edges, cfg); });
-      json.add(mixed_graph, "serve-ingest", params,
-               summarize_trials(ingest_times), report);
-      json.add(mixed_graph, "serve-query", params,
-               summarize_trials(all_latencies), report);
-    }
+    if (!sweep_point<QueryEngine>(sweep, cfg, "serve", "query",
+                                  {{"batch", batch}}))
+      return 1;
+  }
+  cfg.edge_batch = edge_batch;
+  for (const int shards : shard_counts) {
+    if (!sweep_point<ShardedEngine>(
+            sweep, cfg, "shard", "shards=" + std::to_string(shards),
+            {{"shards", shards}, {"edge_batch", edge_batch}}, shards))
+      return 1;
   }
   table.print(std::cout);
 
-  // Steady-state query throughput: one big batch answered against the final
-  // snapshot with no concurrent writer.  Compute-bound, so this is the
-  // anchor-normalized record the perf-smoke gate tracks.
   if (steady_queries > 0) {
-    serve::QueryEngine<NodeID> engine(n);
-    engine.apply_batch(edges);
-    engine.publish();
-    const serve::KeySampler sampler(
-        skew, static_cast<std::uint64_t>(n), theta);
+    const serve::KeySampler sampler(skew, static_cast<std::uint64_t>(n),
+                                    theta);
     Xoshiro256 rng = Xoshiro256(seed).split(0xBEEF);
-    serve::QueryBatch<NodeID> batch;
+    serve::QueryBatch<NodeID> queries;
     for (std::int64_t i = 0; i < steady_queries; ++i)
-      batch.add(static_cast<NodeID>(sampler.next(rng)),
-                static_cast<NodeID>(sampler.next(rng)));
-    const TrialSummary steady =
-        bench::time_trials([&] { engine.answer(batch); }, trials);
-    const double mqps = steady.median_s > 0
-                            ? static_cast<double>(steady_queries) /
-                                  steady.median_s / 1e6
-                            : 0;
-    std::cout << "\nsteady-state (no writer): " << steady_queries
-              << " queries in " << TextTable::fmt(steady.median_s * 1e3, 2)
-              << " ms median (" << TextTable::fmt(mqps, 1) << " Mq/s)\n";
-    if (json.collect()) {
-      const telemetry::Report report =
-          bench::measure_counters([&] { engine.answer(batch); });
-      json.add(graph, "serve-query-steady",
-               {{"scale", scale},
-                {"trials", trials},
-                {"steady_queries", steady_queries},
-                {"skew", serve::skew_name(skew)},
-                {"theta", theta}},
-               steady, report);
-    }
+      queries.add(static_cast<NodeID>(sampler.next(rng)),
+                  static_cast<NodeID>(sampler.next(rng)));
+    std::cout << "\n";
+    steady_pass<QueryEngine>(sweep, cfg, queries, "serve", "query",
+                             {{"steady_queries", steady_queries}});
+    steady_pass<ShardedEngine>(
+        sweep, cfg, queries, "shard",
+        "shards=" + std::to_string(steady_shards),
+        {{"steady_queries", steady_queries}, {"shards", steady_shards}},
+        steady_shards);
   }
   std::cout << "\nexpected shape: larger write batches amortize publishes "
-               "(lower ingest time) at the cost of staler snapshots; query "
-               "latency stays flat because reads never block on the "
-               "writer.\n";
+               "(lower ingest time) at the cost of staler snapshots; more "
+               "shards cost ingest time (publish fan-out + quotient "
+               "maintenance); query latency stays near-flat because reads "
+               "never block on the writer and sharding adds one hash lookup "
+               "per endpoint.\n";
   return 0;
 }

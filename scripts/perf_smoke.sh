@@ -40,33 +40,25 @@ TRIALS=15
 THRESHOLD="${AFFOREST_PERF_THRESHOLD:-0.25}"
 MIN_SECONDS="${AFFOREST_PERF_MIN_SECONDS:-2e-3}"
 
-# Serving-layer suite, pinned alongside fig8a.  The gated record is the
-# compute-bound steady-state query pass on graph "serve-urand" (own
-# serial-uf anchor, so ratio normalization never crosses into the fig8a
-# suite); the mixed-phase records land on the anchor-less
-# "serve-urand-mixed" graph and are tracked as notes only — their wall
-# times are scheduler/core-count-sensitive (see docs/SERVING.md).
+# Serving-layer suite, pinned alongside fig8a: one bench_serving run
+# sweeps the QueryEngine over SERVE_BATCH and the sharded tier over
+# SERVE_SHARDS.  The gated records are the compute-bound steady-state
+# query passes, "serve-query-steady" on graph "serve-urand" and
+# "shard-query-steady" (at SERVE_STEADY_SHARDS) on "shard-urand", each
+# with its own serial-uf anchor, so ratio normalization never crosses
+# into the fig8a suite; the mixed-phase records land on the anchor-less
+# "serve-urand-mixed" / "shard-urand-mixed" graphs and are tracked as
+# notes only — their wall times are scheduler/core-count-sensitive (see
+# docs/SERVING.md).
 SERVE_SCALE=16
 SERVE_TRIALS=5
 SERVE_BATCH=4096
+SERVE_SHARDS=1,2,4,7
+SERVE_STEADY_SHARDS=4
 SERVE_READERS=2
 SERVE_READ_FRACTION=0.9
 SERVE_SKEW=zipfian
 SERVE_STEADY=1048576
-
-# Sharded serving tier, pinned the same way: the gated record is the
-# compute-bound steady-state query pass "shard-query-steady" on graph
-# "shard-urand" (own serial-uf anchor); the per-shard-count mixed records
-# land on the anchor-less "shard-urand-mixed" graph and ride along as
-# notes (scheduler-sensitive, like the serve mixed phase).
-SHARD_SCALE=16
-SHARD_TRIALS=5
-SHARD_SWEEP=1,2,4,7
-SHARD_READERS=2
-SHARD_READ_FRACTION=0.9
-SHARD_SKEW=zipfian
-SHARD_STEADY=1048576
-SHARD_STEADY_SHARDS=4
 
 # Streaming (decremental) suite.  The gated record is the compute-bound
 # delete-free pass on graph "stream-urand" (own serial-uf anchor): every
@@ -107,10 +99,9 @@ INGEST_P99_BOUND="${AFFOREST_INGEST_P99_BOUND:-25}"
 
 BIN="${BUILD_DIR}/bench/bench_fig8a_performance"
 SERVE_BIN="${BUILD_DIR}/bench/bench_serving"
-SHARD_BIN="${BUILD_DIR}/bench/bench_sharded"
 STREAM_BIN="${BUILD_DIR}/bench/bench_streaming"
 LOADGEN_BIN="${BUILD_DIR}/bench/bench_loadgen"
-for bin in "$BIN" "$SERVE_BIN" "$SHARD_BIN" "$STREAM_BIN" "$LOADGEN_BIN"; do
+for bin in "$BIN" "$SERVE_BIN" "$STREAM_BIN" "$LOADGEN_BIN"; do
   if [[ ! -x "$bin" ]]; then
     echo "perf_smoke: $bin not built (cmake --build $BUILD_DIR --target $(basename "$bin"))" >&2
     exit 2
@@ -134,23 +125,17 @@ run_suite() {
   echo "perf_smoke: running pinned suite (scale=$SCALE trials=$TRIALS threads=$THREADS)"
   OMP_NUM_THREADS="$THREADS" "$BIN" \
     --scale "$SCALE" --trials "$TRIALS" --json "$1.fig8a" >/dev/null
-  echo "perf_smoke: running pinned serving mix (scale=$SERVE_SCALE trials=$SERVE_TRIALS skew=$SERVE_SKEW)"
+  echo "perf_smoke: running pinned serving mix (scale=$SERVE_SCALE trials=$SERVE_TRIALS skew=$SERVE_SKEW shards=$SERVE_SHARDS)"
+  # bench_serving exits nonzero on its own if any reader observes a
+  # non-monotone epoch or mixed shard epochs — that correctness gate rides
+  # inside the perf gate.
   OMP_NUM_THREADS="$THREADS" "$SERVE_BIN" \
     --scale "$SERVE_SCALE" --trials "$SERVE_TRIALS" \
-    --batch-sizes "$SERVE_BATCH" --readers "$SERVE_READERS" \
+    --batch-sizes "$SERVE_BATCH" --shards "$SERVE_SHARDS" \
+    --readers "$SERVE_READERS" \
     --read-fraction "$SERVE_READ_FRACTION" --skew "$SERVE_SKEW" \
-    --steady-queries "$SERVE_STEADY" \
+    --steady-queries "$SERVE_STEADY" --steady-shards "$SERVE_STEADY_SHARDS" \
     --json "$1.serving" >/dev/null
-  echo "perf_smoke: running pinned sharded sweep (scale=$SHARD_SCALE trials=$SHARD_TRIALS shards=$SHARD_SWEEP)"
-  # bench_sharded exits nonzero on its own if any reader observes mixed
-  # shard epochs or a non-monotone epoch — that correctness gate rides
-  # inside the perf gate.
-  OMP_NUM_THREADS="$THREADS" "$SHARD_BIN" \
-    --scale "$SHARD_SCALE" --trials "$SHARD_TRIALS" \
-    --shards "$SHARD_SWEEP" --readers "$SHARD_READERS" \
-    --read-fraction "$SHARD_READ_FRACTION" --skew "$SHARD_SKEW" \
-    --steady-queries "$SHARD_STEADY" --steady-shards "$SHARD_STEADY_SHARDS" \
-    --json "$1.sharded" >/dev/null
   echo "perf_smoke: running pinned streaming suite (scale=$STREAM_SCALE trials=$STREAM_TRIALS window=$STREAM_WINDOW)"
   # bench_streaming exits nonzero on its own if the delete-free pass ever
   # triggers a rebuild — that correctness gate rides inside the perf gate.
@@ -172,7 +157,7 @@ run_suite() {
     --json "$1.loadgen" >/dev/null
   # Merge into one afforest-bench-1 document: host/build metadata from the
   # fig8a run (same binary toolchain), records concatenated.
-  python3 - "$1.fig8a" "$1.serving" "$1.sharded" "$1.streaming" "$1.loadgen" "$1" <<'PY'
+  python3 - "$1.fig8a" "$1.serving" "$1.streaming" "$1.loadgen" "$1" <<'PY'
 import json, sys
 fig8a = json.load(open(sys.argv[1]))
 fig8a["experiment"] = "perf-smoke"
@@ -202,7 +187,7 @@ sharded = [rec for rec in fig8a["records"]
            if rec["algorithm"] == "shard-query-steady"]
 if not sharded:
     sys.exit("perf_smoke: shard-query-steady record missing from the "
-             "sharded run")
+             "serving run")
 mixed = [rec for rec in fig8a["records"]
          if rec.get("graph") == "shard-urand-mixed"]
 if not all("shard_epoch_publishes" in rec.get("counters", {})
@@ -233,7 +218,7 @@ with open(sys.argv[-1], "w") as f:
     json.dump(fig8a, f, indent=1)
     f.write("\n")
 PY
-  rm -f "$1.fig8a" "$1.serving" "$1.sharded" "$1.streaming" "$1.loadgen"
+  rm -f "$1.fig8a" "$1.serving" "$1.streaming" "$1.loadgen"
 }
 
 compare() {

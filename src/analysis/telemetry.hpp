@@ -32,7 +32,8 @@
 // Thread-local blocks are heap-allocated once per thread and intentionally
 // never freed: they must outlive the thread so a snapshot taken after a
 // worker exits reads valid memory.  The "leak" is bounded by the number of
-// distinct threads the process ever creates.
+// distinct threads the process ever creates.  The registry listing them is
+// never destroyed either, so they stay reachable through process exit.
 #pragma once
 
 #include <algorithm>
@@ -151,8 +152,11 @@ struct BlockRegistry {
   std::vector<ThreadCounters*> blocks;
 };
 
+/// Never destroyed: a block whose thread has exited (an OpenMP team shrank)
+/// is reachable only through this list, which static destruction would
+/// free before LeakSanitizer's exit check.
 inline BlockRegistry& registry() {
-  static BlockRegistry r;
+  static BlockRegistry& r = *new BlockRegistry;
   return r;
 }
 

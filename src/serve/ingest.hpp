@@ -21,9 +21,10 @@
 //     writer) drains every queue, COALESCES the pending multiset (exact
 //     duplicates merge after endpoint normalization — FastSV's
 //     dedup-before-ship discipline) and FILTERS root-equal no-op edges
-//     against the current RCU snapshot (ConnectIt's observation: an edge
-//     whose endpoints already share a root cannot change any answer on a
-//     grow-only forest), then hands the compacted batch to the engine
+//     against one view of the published snapshot, pinned through the
+//     engine's acquire() for the whole pass (ConnectIt's observation: an
+//     edge whose endpoints already share a root cannot change any answer
+//     on a grow-only forest), then hands the compacted batch to the engine
 //     through the existing apply seam and publishes.
 //
 // Soundness caveat: both compaction passes change the EDGE MULTISET, not
@@ -49,7 +50,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -246,7 +246,9 @@ class MembershipCache {
 };
 
 /// The sharded MPSC ingestion pipeline, composable over any serving engine
-/// through the existing apply seam (detected at compile time):
+/// that exposes acquire() (a pinned view with connected(u, v), for the
+/// no-op filter) and one of the existing apply seams (detected at compile
+/// time):
 ///
 ///   * apply_batch + publish   — QueryEngine, ShardedEngine
 ///   * apply_inserts + publish — DynamicCC
@@ -474,26 +476,16 @@ class IngestPipeline {
   /// engines: published connectivity is always a subset of live
   /// connectivity (the live forest only grows between publishes), so an
   /// edge already connected in the snapshot is a no-op on the live state
-  /// too.  Engines whose acquire() yields a per-pair view pin ONE snapshot
-  /// for the whole pass; composite engines (ShardedEngine) answer through
-  /// their own per-call pin.
+  /// too.  One view, pinned for the whole pass, answers every edge; it is
+  /// released on return, before the apply seam publishes.
   std::uint64_t filter_noops(EdgeList<NodeID_>& pending) {
+    const auto view = engine_.acquire();
+    const std::size_t before = pending.size();
     auto keep_end = pending.begin();
-    if constexpr (requires(const EngineT& e, NodeID_ u) {
-                    { e.acquire().connected(u, u) } -> std::convertible_to<bool>;
-                  }) {
-      const auto view = engine_.acquire();
-      for (auto& e : pending)
-        if (!view.connected(e.u, e.v)) *keep_end++ = e;
-    } else {
-      for (auto& e : pending)
-        if (!engine_.connected(e.u, e.v)) *keep_end++ = e;
-    }
-    const auto dropped = static_cast<std::uint64_t>(
-        std::distance(keep_end, pending.end()));
-    pending.resize(static_cast<std::size_t>(
-        std::distance(pending.begin(), keep_end)));
-    return dropped;
+    for (auto& e : pending)
+      if (!view.connected(e.u, e.v)) *keep_end++ = e;
+    pending.resize(static_cast<std::size_t>(keep_end - pending.begin()));
+    return before - pending.size();
   }
 
   /// The existing apply seam, selected at compile time (header comment).

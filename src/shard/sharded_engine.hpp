@@ -28,7 +28,8 @@
 //     recoverable — compaction is lossless and keeps the log
 //     proportional to the quotient, not the edge stream.
 //
-// Read plane: a global query pins one GlobalSnapshot and composes
+// Read plane: acquire() pins one GlobalSnapshot as a View, which answers
+// the same queries as SnapshotStore's View by composing
 //   global_label(v) = quotient_root(shard_start + local_label(v))
 // entirely within that atom.  Readers can never observe shard A at epoch
 // e and shard B at e−1: the only path to shard snapshots is through the
@@ -58,6 +59,7 @@
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/telemetry.hpp"
@@ -83,7 +85,7 @@ class ShardedEngine {
   /// One consistent cross-shard state: the pinned per-shard snapshots all
   /// queries of this epoch read, plus the resolved quotient.  Owned and
   /// swapped atomically by the EpochPublisher; readers hold it only
-  /// through a GlobalRef.
+  /// through a View.
   struct GlobalSnapshot {
     std::vector<ShardView> views;  ///< one pinned snapshot per shard
     /// pre-quotient global root -> final (min) global root, fully resolved
@@ -93,7 +95,61 @@ class ShardedEngine {
     std::int64_t component_count = 0;
   };
 
-  using GlobalRef = typename serve::EpochPublisher<GlobalSnapshot>::Ref;
+  /// A pinned cross-shard atom answering SnapshotStore::View's queries as
+  /// of its epoch: holds the atom's refcount for its lifetime, so keep
+  /// Views short-lived (one query or one batch).  `->` and `*` expose the
+  /// atom itself (shard views, quotient maps) for tests and probes.  Ids
+  /// are not range-checked here; the engine's query methods check them.
+  /// Movable, not copyable.
+  class View {
+   public:
+    [[nodiscard]] std::uint64_t epoch() const { return ref_.epoch(); }
+    [[nodiscard]] const GlobalSnapshot& operator*() const { return *ref_; }
+    [[nodiscard]] const GlobalSnapshot* operator->() const {
+      return &*ref_;
+    }
+
+    [[nodiscard]] bool connected(NodeID_ u, NodeID_ v) const {
+      return component_of(u) == component_of(v);
+    }
+
+    /// The minimum global vertex id in u's component, as on a single
+    /// engine: the owning shard's root, then the quotient's final say.
+    [[nodiscard]] NodeID_ component_of(NodeID_ u) const {
+      const NodeID_ root = engine_->raw_root(*ref_, u);
+      const auto it = ref_->quotient_root.find(root);
+      return it == ref_->quotient_root.end() ? root : it->second;
+    }
+
+    [[nodiscard]] std::int64_t component_size(NodeID_ u) const {
+      return size_of_root(component_of(u), u);
+    }
+
+    /// O(1): resolved at publish.
+    [[nodiscard]] std::int64_t component_count() const {
+      return ref_->component_count;
+    }
+
+   private:
+    friend class ShardedEngine;
+    using Ref = typename serve::EpochPublisher<GlobalSnapshot>::Ref;
+
+    View(Ref ref, const ShardedEngine& engine)
+        : ref_(std::move(ref)), engine_(&engine) {}
+
+    /// Size of the component rooted at `root` (u: any member, used to reach
+    /// the owning shard when the component never crossed a boundary).
+    [[nodiscard]] std::int64_t size_of_root(NodeID_ root, NodeID_ u) const {
+      const auto it = ref_->quotient_size.find(root);
+      if (it != ref_->quotient_size.end()) return it->second;
+      const int p = engine_->shard_of(u);
+      return ref_->views[p].component_size(
+          static_cast<NodeID_>(u - engine_->shard_start_[p]));
+    }
+
+    Ref ref_;
+    const ShardedEngine* engine_;  ///< shard map for the composition
+  };
 
   /// num_shards >= 1.  Throws LabelWidthError when num_nodes exceeds what
   /// NodeID_ can label — same typed guard as partitioned_cc.
@@ -135,17 +191,18 @@ class ShardedEngine {
   [[nodiscard]] std::uint64_t epoch() const { return publisher_.epoch(); }
 
   /// Pins the current cross-shard atom.  Concurrency-safe; any number of
-  /// readers.  Exposed so tests can assert on the atom's internals (shard
-  /// epochs, quotient shape); ordinary callers use the query methods.
-  [[nodiscard]] GlobalRef acquire() const { return publisher_.acquire(); }
+  /// readers.
+  [[nodiscard]] View acquire() const {
+    return View(publisher_.acquire(), *this);
+  }
 
   /// Shard-snapshot epochs inside one atom — the linearizability tests'
   /// probe that a reader can never see mixed epochs.
   [[nodiscard]] static std::vector<std::uint64_t> shard_epochs(
-      const GlobalRef& ref) {
+      const View& view) {
     std::vector<std::uint64_t> epochs;
-    epochs.reserve(ref->views.size());
-    for (const ShardView& view : ref->views) epochs.push_back(view.epoch());
+    epochs.reserve(view->views.size());
+    for (const ShardView& shard : view->views) epochs.push_back(shard.epoch());
     return epochs;
   }
 
@@ -154,29 +211,27 @@ class ShardedEngine {
   [[nodiscard]] bool connected(NodeID_ u, NodeID_ v) const {
     check_vertex(u);
     check_vertex(v);
-    const GlobalRef ref = publisher_.acquire();
+    const View view = acquire();
     telemetry::on_queries_served(1);
-    return global_root(*ref, u) == global_root(*ref, v);
+    return view.connected(u, v);
   }
 
-  /// Component id of u — the minimum global vertex id in u's component,
-  /// identical to the single-engine label convention.
   [[nodiscard]] NodeID_ component_of(NodeID_ u) const {
     check_vertex(u);
-    const GlobalRef ref = publisher_.acquire();
+    const View view = acquire();
     telemetry::on_queries_served(1);
-    return global_root(*ref, u);
+    return view.component_of(u);
   }
 
   [[nodiscard]] std::int64_t component_size(NodeID_ u) const {
     check_vertex(u);
-    const GlobalRef ref = publisher_.acquire();
+    const View view = acquire();
     telemetry::on_queries_served(1);
-    return size_of_root(*ref, global_root(*ref, u), u);
+    return view.component_size(u);
   }
 
   [[nodiscard]] std::int64_t component_count() const {
-    return publisher_.acquire()->component_count;
+    return acquire().component_count();
   }
 
   /// Answers every query against ONE atom (stamped into batch.epoch) with
@@ -192,16 +247,15 @@ class ShardedEngine {
     batch.component.resize(batch.count());
     batch.component_size.resize(batch.count());
 
-    const GlobalRef ref = publisher_.acquire();
-    batch.epoch = ref.epoch();
-    const GlobalSnapshot& snap = *ref;
+    const View view = acquire();
+    batch.epoch = view.epoch();
 #pragma omp parallel for schedule(static)
     for (std::int64_t i = 0; i < count; ++i) {
-      const NodeID_ ru = global_root(snap, batch.u[i]);
-      const NodeID_ rv = global_root(snap, batch.v[i]);
+      const NodeID_ ru = view.component_of(batch.u[i]);
+      const NodeID_ rv = view.component_of(batch.v[i]);
       batch.connected[i] = static_cast<std::uint8_t>(ru == rv);
       batch.component[i] = ru;
-      batch.component_size[i] = size_of_root(snap, ru, batch.u[i]);
+      batch.component_size[i] = view.size_of_root(ru, batch.u[i]);
     }
     telemetry::on_queries_served(static_cast<std::uint64_t>(count));
   }
@@ -209,12 +263,11 @@ class ShardedEngine {
   /// Published global labels (deep copy; for verification).  Exactly the
   /// array a single-shard QueryEngine over the same edges would publish.
   [[nodiscard]] ComponentLabels<NodeID_> labels() const {
-    const GlobalRef ref = publisher_.acquire();
-    const GlobalSnapshot& snap = *ref;
+    const View view = acquire();
     ComponentLabels<NodeID_> out(static_cast<std::size_t>(num_nodes_));
 #pragma omp parallel for schedule(static)
     for (std::int64_t v = 0; v < num_nodes_; ++v)
-      out[v] = global_root(snap, static_cast<NodeID_>(v));  // NOLINT(afforest-plain-shared-access): owner-exclusive init write
+      out[v] = view.component_of(static_cast<NodeID_>(v));  // NOLINT(afforest-plain-shared-access): owner-exclusive init write
     return out;
   }
 
@@ -286,29 +339,6 @@ class ShardedEngine {
  private:
   void check_vertex(NodeID_ v) const {
     check_vertex_range("ShardedEngine", v, num_nodes_);
-  }
-
-  /// Global root of v under one atom: owning shard's local label shifted
-  /// back to global ids, then the quotient's final say.
-  [[nodiscard]] NodeID_ global_root(const GlobalSnapshot& snap,
-                                    NodeID_ v) const {
-    const int p = shard_of(v);
-    const NodeID_ local = static_cast<NodeID_>(v - shard_start_[p]);
-    const NodeID_ root = static_cast<NodeID_>(
-        shard_start_[p] + snap.views[p].component_of(local));
-    const auto it = snap.quotient_root.find(root);
-    return it == snap.quotient_root.end() ? root : it->second;
-  }
-
-  /// Size of the component rooted at `root` (v: any member, used to reach
-  /// the owning shard when the component never crossed a boundary).
-  [[nodiscard]] std::int64_t size_of_root(const GlobalSnapshot& snap,
-                                          NodeID_ root, NodeID_ v) const {
-    const auto it = snap.quotient_size.find(root);
-    if (it != snap.quotient_size.end()) return it->second;
-    const int p = shard_of(v);
-    return snap.views[p].component_size(
-        static_cast<NodeID_>(v - shard_start_[p]));
   }
 
   /// Shared tail of the constructor and publish(): shard publishes, then

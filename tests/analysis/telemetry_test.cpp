@@ -142,6 +142,20 @@ TEST(Telemetry, ServingCountersFireAndAggregate) {
   EXPECT_TRUE(counters_all_zero(telemetry::snapshot()));
 }
 
+// A block registered by an OpenMP worker outlives the worker once a later
+// region shrinks the team, and from then on only the registry reaches it.
+// The registry must stay alive through exit, or LeakSanitizer (the asan
+// preset) reports the block as leaked when this test's process ends.
+TEST(Telemetry, WorkerBlocksStayReachableAfterTheTeamShrinks) {
+  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  const telemetry::ScopedEnable armed;
+#pragma omp parallel num_threads(3)
+  telemetry::on_queries_served(1);
+#pragma omp parallel num_threads(2)
+  telemetry::on_queries_served(1);
+  EXPECT_EQ(telemetry::snapshot().serve_queries_served, 5u);
+}
+
 // Each block is written only by its owner thread, with a load plus store
 // instead of a locked add.  std::threads (TSan-visible, unlike OpenMP)
 // hammer the hooks while this thread snapshots: every snapshot is a

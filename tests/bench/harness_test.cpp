@@ -58,6 +58,66 @@ TEST(SelectNames, UnknownNameThrowsListingTheValidOnes) {
   }
 }
 
+TEST(ParseList, ReadsNumbersInOrderAndSkipsEmptyEntries) {
+  const auto positive = [](auto v) { return v > 0; };
+  EXPECT_EQ(bench::parse_list<std::int64_t>("256,,4096,", "batch-sizes",
+                                            positive, "positive"),
+            (std::vector<std::int64_t>{256, 4096}));
+  EXPECT_EQ(bench::parse_list<double>(
+                "0.5,0.95", "read-fractions",
+                [](double f) { return f >= 0.0 && f < 1.0; }, "in [0, 1)"),
+            (std::vector<double>{0.5, 0.95}));
+}
+
+TEST(ParseList, BadEntriesThrowNamingTheFlag) {
+  const auto positive = [](auto v) { return v > 0; };
+  const auto message = [](const auto& parse) {
+    try {
+      parse();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message([&] {
+              (void)bench::parse_list<std::int64_t>(
+                  "99999999999999999999", "batch-sizes", positive,
+                  "positive");
+            }),
+            "--batch-sizes: entry '99999999999999999999' is out of range");
+  EXPECT_EQ(message([&] {
+              (void)bench::parse_list<int>("1,3000000000", "shards",
+                                           positive, "positive");
+            }),
+            "--shards: entry '3000000000' is out of range");
+  EXPECT_EQ(message([&] {
+              (void)bench::parse_list<std::int64_t>("12abc", "batch-sizes",
+                                                    positive, "positive");
+            }),
+            "--batch-sizes: entry '12abc' is not a number");
+  EXPECT_EQ(message([&] {
+              (void)bench::parse_list<double>(
+                  "0.5x", "read-fractions", [](double) { return true; },
+                  "a fraction");
+            }),
+            "--read-fractions: entry '0.5x' is not a number");
+  EXPECT_EQ(message([&] {
+              (void)bench::parse_list<int>("", "shards", positive,
+                                           "positive");
+            }),
+            "--shards parsed to an empty list");
+  EXPECT_EQ(message([&] {
+              (void)bench::parse_list<int>(",", "shards", positive,
+                                           "positive");
+            }),
+            "--shards parsed to an empty list");
+  EXPECT_EQ(message([&] {
+              (void)bench::parse_list<std::int64_t>("4,0", "workers",
+                                                    positive, "positive");
+            }),
+            "--workers: entry '0' is not positive");
+}
+
 TEST(MeasureCounters, CapturesWithoutLeavingTelemetryArmed) {
   if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   telemetry::set_enabled(false);

@@ -21,6 +21,7 @@
 #include "cc/common.hpp"
 #include "cc/guards.hpp"
 #include "serve/query_engine.hpp"
+#include "shard/sharded_engine.hpp"
 #include "util/failpoint.hpp"
 
 namespace afforest::serve {
@@ -114,6 +115,33 @@ TEST(IngestCoalesceTest, TelemetryCountersTally) {
   telemetry::set_enabled(false);
   EXPECT_EQ(c.ingest_edges_coalesced, 1u);
   EXPECT_EQ(c.ingest_edges_dropped_noop, 1u);
+}
+
+/// Pumps one edge, then a no-op and a fresh edge, through an armed
+/// pipeline over `engine`; returns how many queries the engine served.
+template <typename EngineT>
+std::uint64_t queries_served_while_pumping(EngineT& engine) {
+  const telemetry::ScopedEnable armed;
+  IngestPipeline<EngineT, NodeID> pipe(engine);
+  pipe.enqueue({1, 2});
+  pipe.pump();
+  pipe.enqueue({2, 1});  // no-op vs snapshot
+  pipe.enqueue({5, 6});
+  pipe.pump();
+  const std::uint64_t served = telemetry::snapshot().serve_queries_served;
+  EXPECT_EQ(pipe.stats().edges_dropped_noop, 1u);
+  EXPECT_EQ(pipe.stats().edges_applied, 2u);
+  return served;
+}
+
+// The no-op filter reads one view pinned per pump, not the engine's query
+// methods, so pumping serves no queries on any engine.
+TEST(IngestCoalesceTest, NoopFilterServesNoQueries) {
+  if (!telemetry::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  Engine engine(8);
+  EXPECT_EQ(queries_served_while_pumping(engine), 0u);
+  shard::ShardedEngine<NodeID> sharded(8, 3);  // {5, 6} crosses shards
+  EXPECT_EQ(queries_served_while_pumping(sharded), 0u);
 }
 
 TEST(IngestPumpTest, EmptyDrainDoesNotTurnTheEpoch) {

@@ -2,8 +2,9 @@
 // a ShardedEngine must answer EXACTLY like a single-shard QueryEngine
 // oracle fed the same edge stream — identical labels (both sides use the
 // min-vertex-id convention), identical component counts/sizes, identical
-// batch answers — across the fuzz generator families, multiple seeds, and
-// shard counts {1, 2, 4, 7}.
+// batch answers, identical pinned-view answers (also from views pinned
+// before the publish) — across the fuzz generator families, multiple
+// seeds, and shard counts {1, 2, 4, 7}.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +25,24 @@ using NodeID = std::int32_t;
 constexpr int kShardCounts[] = {1, 2, 4, 7};
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
+/// Asserts that two pinned views answer alike: same epoch, same component
+/// count, and the same connected / component_of / component_size on every
+/// query pair in `pairs`.
+void expect_views_agree(const shard::ShardedEngine<NodeID>::View& got,
+                        const serve::QueryEngine<NodeID>::View& want,
+                        const serve::QueryBatch<NodeID>& pairs) {
+  ASSERT_EQ(got.epoch(), want.epoch());
+  ASSERT_EQ(got.component_count(), want.component_count());
+  for (std::size_t q = 0; q < pairs.count(); ++q) {
+    const NodeID u = pairs.u[q];
+    const NodeID v = pairs.v[q];
+    ASSERT_EQ(got.connected(u, v), want.connected(u, v)) << "query " << q;
+    ASSERT_EQ(got.component_of(u), want.component_of(u)) << "query " << q;
+    ASSERT_EQ(got.component_size(u), want.component_size(u))
+        << "query " << q;
+  }
+}
+
 /// Streams `in`'s edges through both engines in `batches` slices,
 /// publishing and cross-checking after every slice.
 void run_differential(const fuzz::FuzzInput& in, int num_shards,
@@ -40,6 +59,9 @@ void run_differential(const fuzz::FuzzInput& in, int num_shards,
     const std::size_t count = std::min(chunk, total - start);
     sharded.apply_batch(in.edges.data() + start, count);
     oracle.apply_batch(in.edges.data() + start, count);
+    // Pinned before the publish: these must keep answering their own epoch.
+    const auto sharded_before = sharded.acquire();
+    const auto oracle_before = oracle.acquire();
     sharded.publish();
     oracle.publish();
 
@@ -70,6 +92,15 @@ void run_differential(const fuzz::FuzzInput& in, int num_shards,
         ASSERT_EQ(qs.component_size[q], qo.component_size[q])
             << "query " << q;
       }
+
+      // The same pairs through views pinned after the publish, and through
+      // the views pinned before it.
+      const auto sharded_after = sharded.acquire();
+      ASSERT_EQ(sharded_after.epoch(), sharded_before.epoch() + 1);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_views_agree(sharded_after, oracle.acquire(), qs));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_views_agree(sharded_before, oracle_before, qs));
     }
     if (total == 0) break;
   }

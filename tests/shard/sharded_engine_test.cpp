@@ -195,12 +195,12 @@ TEST(ShardedEngine, FailpointLeavesEngineServiceable) {
 }
 
 TEST(ShardedEngine, LeakedGlobalRefSurfacesAsConvergenceError) {
-  // A GlobalRef held across two publishes pins the atom cell the second
+  // A View held across two publishes pins the atom cell the second
   // publish must reuse; its drain reports the leak as a typed error, and
   // the engine publishes normally once the ref is released.
   const ScopedEnv ceiling("AFFOREST_SERVE_SPIN_CEILING", "512");
   Engine engine(8, 2);
-  std::optional<Engine::GlobalRef> leaked(engine.acquire());  // epoch 1
+  std::optional<Engine::View> leaked(engine.acquire());  // epoch 1
   engine.apply_and_publish(path_edges(8));  // epoch 2, the other cell
   try {
     engine.publish();
